@@ -19,7 +19,6 @@ from .kernels import (
     DiagonalStructure,
     Realization,
     RealizationIdentityError,
-    commutator_kernel_entry,
 )
 from .inversion import (
     FundamentalSolution,
@@ -28,7 +27,6 @@ from .inversion import (
     SingularOperatorError,
     branch_projector,
     null_basis_functions,
-    pullback_coordinate,
 )
 from .canonical import (
     DefectiveEigenvalueError,
@@ -67,14 +65,12 @@ __all__ = [
     "WeylPoleError",
     "apply_triangular_adjoint",
     "branch_projector",
-    "commutator_kernel_entry",
     "energy_inequality",
     "hamiltonian_factor",
     "herglotz_data",
     "inverse_kernel_for_interval",
     "matrizant",
     "null_basis_functions",
-    "pullback_coordinate",
     "recover_hamiltonian",
     "recovery_correction",
     "similarity_factor",

@@ -20,8 +20,7 @@ triangular-factor application and nothing is ever discretized on a grid.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 
-from .inversion import FundamentalSolution, InverseKernel, branch_projector
+from .inversion import InverseKernel
 from .kernels import DiagonalStructure, Realization
 from .linalg import as_matrix, eig_spectrum, exchange_j, frob, mat_exp, solve
 
@@ -105,10 +104,6 @@ class WeylFunction:
 
     def __post_init__(self):
         self.realization.require_identity()
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return eig_spectrum(self.realization.beta)
 
     def value(self, lam: complex) -> np.ndarray:
         return weyl_value(self.realization, lam)
@@ -276,15 +271,11 @@ def recovery_correction(r: Realization, x: float,
     if not 0.0 < x <= r.length * (1 + 1e-12):
         raise ValueError(f"evaluation point {x} outside (0, {r.length}]")
 
-    if kernel is not None and abs(kernel.realization.length - x) <= 1e-12 * x:
-        fund, proj = kernel.fund, kernel.p_cross
-        if proj is None:
-            raise IntervalSingularityError(x, kernel.singular_report.rcond)
-    else:
-        fund = FundamentalSolution(r.with_length(x))
-        proj = branch_projector(fund)
-        if not isinstance(proj, np.ndarray):
-            raise IntervalSingularityError(x, proj.rcond)
+    if kernel is None or abs(kernel.realization.length - x) > 1e-12 * x:
+        kernel = inverse_kernel_for_interval(r, x)
+    fund, proj = kernel.fund, kernel.p_cross
+    if proj is None:
+        raise IntervalSingularityError(x, kernel.singular_report.rcond)
 
     n, p, d = r.n, r.p, r.diag.d
     eye2n = np.eye(2 * n)
@@ -345,20 +336,6 @@ def hamiltonian_factor(
     return apply_triangular_adjoint(kernel, profile, x)
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get("DKINV_THREADS", "0").strip() or "0"
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"DKINV_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 0:
-        raise ValueError("worker count must be >= 0")
-    if workers == 0:
-        workers = min(os.cpu_count() or 1, 8)
-    return max(1, workers)
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianGrid:
     """Sampled recovery output: gamma(x) and H(x) = gamma^H gamma on a grid."""
@@ -386,13 +363,11 @@ def recover_hamiltonian(
     r: Realization,
     xs: Sequence[float],
     route: str = "auto",
-    workers: Optional[int] = None,
 ) -> HamiltonianGrid:
     """Recover gamma and H on a strictly increasing grid of points in (0, l].
 
     Each point is independent: the fundamental solution and inverse kernel
-    are rebuilt per x (worker-local), so the sampling parallelizes over a
-    thread pool sized by ``workers`` (default, or DKINV_THREADS, 0 = auto).
+    are rebuilt for the interval [0, x] and the points run one after another.
     """
     r.require_identity()
     xs = np.asarray(xs, dtype=float)
@@ -403,18 +378,7 @@ def recover_hamiltonian(
     if xs[0] <= 0 or xs[-1] > r.length * (1 + 1e-12):
         raise ValueError(f"sample points must lie in (0, {r.length}]")
 
-    def one(x: float) -> np.ndarray:
-        kernel = inverse_kernel_for_interval(r, x)
-        return hamiltonian_factor(r, x, route=route, kernel=kernel)
-
-    count = _resolve_workers(workers)
-    if count == 1 or xs.size == 1:
-        gammas = [one(x) for x in xs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            gammas = list(pool.map(one, xs))
-    gammas = np.array(gammas)
+    gammas = np.array([hamiltonian_factor(r, x, route=route) for x in xs])
     hams = np.einsum("mij,mik->mjk", gammas.conj(), gammas)
     hams = 0.5 * (hams + np.conj(np.transpose(hams, (0, 2, 1))))
     return HamiltonianGrid(xs=xs, gammas=gammas, hams=hams, diag=r.diag)

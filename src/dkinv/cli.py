@@ -9,8 +9,10 @@ A problem description is a JSON file
       "theta1": [[[re, im], ...], ...],   # n rows, p columns
       "theta2": [[[re, im], ...], ...],
       "beta":   [[[re, im], ...], ...],   # n rows, n columns
-      "flags":  {"route": "auto", "threads": 0}
+      "flags":  {"route": "auto"}
     }
+
+Unknown flags are ignored.
 
 Complex entries are [re, im] pairs (bare reals are accepted on input but
 always serialized as pairs).  Outputs are CSV with 17-significant-digit
@@ -78,10 +80,10 @@ class ProblemConfig:
     def route(self) -> str:
         return str(self.flags.get("route", "auto"))
 
-    @property
-    def threads(self) -> Optional[int]:
-        raw = self.flags.get("threads")
-        return None if raw is None else int(raw)
+
+def _pairs(m: np.ndarray) -> list:
+    """Complex matrix as nested [re, im] pairs, the JSON form of every entry."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _complex_entry(raw, where: str) -> complex:
@@ -180,17 +182,14 @@ def parse_config(path: str) -> ProblemConfig:
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
     """Serialize back to the JSON schema ([re, im] pairs everywhere)."""
-    def pairs(m: np.ndarray) -> list:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
     out = {
         "p": cfg.p,
         "n": cfg.n,
         "d": [float(v) for v in cfg.d],
         "l": float(cfg.l),
-        "theta1": pairs(cfg.theta1),
-        "theta2": pairs(cfg.theta2),
-        "beta": pairs(cfg.beta),
+        "theta1": _pairs(cfg.theta1),
+        "theta2": _pairs(cfg.theta2),
+        "beta": _pairs(cfg.beta),
         "flags": dict(cfg.flags),
     }
     return out
@@ -265,8 +264,7 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
         return 1
     xs = np.linspace(r.length / samples, r.length, samples)
     try:
-        grid_data = canonical.recover_hamiltonian(
-            r, xs, route=cfg.route, workers=cfg.threads)
+        grid_data = canonical.recover_hamiltonian(r, xs, route=cfg.route)
     except canonical.IntervalSingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -365,8 +363,7 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     if identity_ok:
         xs = np.linspace(r.length / points, r.length, points)
         try:
-            grid_data = canonical.recover_hamiltonian(
-                r, xs, route=cfg.route, workers=cfg.threads)
+            grid_data = canonical.recover_hamiltonian(r, xs, route=cfg.route)
             gamma_gap = 0.0
             sim_gap = 0.0
             ex = exchange_j(r.p)
@@ -436,10 +433,6 @@ def _parse_lambdas(raw: str) -> List[complex]:
             for k in range(0, len(values), 2)]
 
 
-def _json_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
              density_points: Sequence[float]) -> int:
     """Print phi(lambda) per requested point as JSON lines.
@@ -453,7 +446,7 @@ def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
             phi = canonical.weyl_value(r, lam)
             print(json.dumps({
                 "lambda": [lam.real, lam.imag],
-                "phi": _json_pairs(phi),
+                "phi": _pairs(phi),
             }, sort_keys=True))
         except canonical.WeylPoleError as exc:
             print(json.dumps({
@@ -473,7 +466,7 @@ def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
         for t in density_points:
             print(json.dumps({
                 "t": t,
-                "density": _json_pairs(data.density(t)),
+                "density": _pairs(data.density(t)),
             }, sort_keys=True))
     return 0
 

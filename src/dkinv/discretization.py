@@ -3,8 +3,9 @@
 Everything in this module deliberately avoids the closed-form inversion
 path: operators are discretized by a midpoint Nystrom rule, the fundamental
 solution is re-integrated with classical Runge-Kutta, and the Weyl function
-is reproduced by direct Fourier quadrature of the kernel column.  The rest
-of the package never calls into here; tests compare both sides.
+is reproduced by direct Fourier quadrature of the kernel column.  Tests
+compare both sides, and ``dkinv verify`` runs the Nystrom and discrete
+matrizant checks from here; the closed-form modules never call into it.
 
 Discrete objects follow a component-major layout: a block vector sample f
 on nodes x_0..x_{N-1} is flattened as f[i*N + a] = f_i(x_a), so operators

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "SingularOperatorError",
     "branch_projector",
     "null_basis_functions",
-    "pullback_coordinate",
 ]
 
 _FUZZ = 1e-12  # relative slack on interval-boundary comparisons
@@ -63,7 +62,6 @@ class _Segment:
     right: float            # open right endpoint (closed for the last segment)
     level: int              # level index j in 2..k+1 selecting P_j
     gen_cross: np.ndarray   # A + Y_j
-    exp_left_pos: np.ndarray   # e^{left*A}
     exp_left_neg: np.ndarray   # e^{-left*A}
     u_left: np.ndarray         # U(left)
     right_cache: np.ndarray    # e^{left*A} U(left)
@@ -119,7 +117,7 @@ class FundamentalSolution:
             exp_neg = mat_exp(-left * gen)
             right_cache = exp_pos @ u_left
             left_cache = self._invert(u_left) @ exp_neg
-            seg = _Segment(left, nxt, level, gen + y_corr, exp_pos, exp_neg,
+            seg = _Segment(left, nxt, level, gen + y_corr, exp_neg,
                            u_left, right_cache, left_cache, proj)
             segments.append(seg)
             # chain: U(next) = e^{-next*A} e^{(next-left)(A+Y_j)} right_cache
@@ -128,7 +126,7 @@ class FundamentalSolution:
         self.segments = segments
         self._corner = u_left  # U(a)
         for seg in segments:
-            for arr in (seg.gen_cross, seg.exp_left_pos, seg.exp_left_neg,
+            for arr in (seg.gen_cross, seg.exp_left_neg,
                         seg.u_left, seg.right_cache, seg.left_cache):
                 arr.flags.writeable = False
 
@@ -203,19 +201,6 @@ class FundamentalSolution:
         """e^{yA} U(y), the left-propagated solution (one exponential)."""
         seg, y = self._locate(y)
         return mat_exp((y - seg.left) * seg.gen_cross) @ seg.right_cache
-
-    def b_matrix(self, y: float) -> np.ndarray:
-        """Left rank factor B(y) = e^{-yA} [-theta1; theta2] D^{-1} P_j."""
-        seg, y = self._locate(y)
-        exp_neg = seg.exp_left_neg @ mat_exp(-(y - seg.left) * self.generator)
-        return exp_neg @ self.stack @ self.realization.diag.inv_matrix \
-            @ seg.projector
-
-    def c_matrix(self, y: float) -> np.ndarray:
-        """Right rank factor C(y) = P_j [theta2^H, theta1^H] e^{yA}."""
-        seg, y = self._locate(y)
-        exp_pos = mat_exp((y - seg.left) * self.generator) @ seg.exp_left_pos
-        return seg.projector @ self.adj_row @ exp_pos
 
     def c_times_u(self, y: float) -> np.ndarray:
         """C(y) U(y) without forming U (single exponential)."""
@@ -386,21 +371,3 @@ def null_basis_functions(
 
         funcs.append(h)
     return funcs
-
-
-def pullback_coordinate(diag: DiagonalStructure, length: float,
-                        j: int, z: float) -> Optional[float]:
-    """Preimage in [0, l] of the dilated coordinate z for component j.
-
-    Returns z / d_j when z lies inside component j's live range [0, d_j*l);
-    returns None for z in the zero-extension region d_j*l <= z <= d_1*l.
-    """
-    if not 0 <= j < diag.p:
-        raise ValueError(f"component index {j} outside 0..{diag.p - 1}")
-    top = diag.d[0] * length
-    if z < -_FUZZ * top or z > top * (1 + _FUZZ):
-        raise ValueError(f"coordinate {z} outside [0, {top}]")
-    z = min(max(z, 0.0), top)
-    if z >= diag.d[j] * length:
-        return None
-    return z / diag.d[j]

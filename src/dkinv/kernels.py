@@ -10,19 +10,16 @@ everything downstream (segment breakpoints, projectors, inversion).
 
 This module holds the immutable problem data (:class:`DiagonalStructure`,
 :class:`Realization`) and the pointwise evaluators: the kernel itself, its
-integral primitive (jump 1 across zero on the diagonal), the scaled edge
-profile feeding the low-rank commutator coupling, and the reconstruction
-kernel associated with a separable commutator right-hand side.
+integral primitive (jump 1 across zero on the diagonal) and the scaled edge
+profile feeding the low-rank commutator coupling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .linalg import DimensionError, as_matrix, frob, mat_exp
 
@@ -30,7 +27,6 @@ __all__ = [
     "DiagonalStructure",
     "Realization",
     "RealizationIdentityError",
-    "commutator_kernel_entry",
 ]
 
 
@@ -227,24 +223,6 @@ class Realization:
         block = mat_exp(x * aug)[:n, n:]
         return 0.5 * np.eye(p) + self.diag.inv_matrix @ self.theta2.conj().T @ block @ self.theta1
 
-    def integrated_kernel_two_point(self, x: float, t: float) -> np.ndarray:
-        """Two-variable primitive: entry (i,j) is s_ij(d_i x - d_j t).
-
-        Negative scalar arguments come from the reflection rule
-        s_ij(-u) = -(d_j / d_i) conj(s_ji(u)); equivalently the matrix rule
-        s(-u) = -D^-1 s(u)^H D applied entrywise.
-        """
-        d = self.diag.d
-        out = np.empty((self.p, self.p), dtype=complex)
-        for i in range(self.p):
-            for j in range(self.p):
-                u = d[i] * x - d[j] * t
-                if u >= 0:
-                    out[i, j] = self.integrated_kernel(u)[i, j]
-                else:
-                    out[i, j] = -(d[j] / d[i]) * np.conj(self.integrated_kernel(-u)[j, i])
-        return out
-
     def edge_profile(self, x: float) -> np.ndarray:
         """Scaled restriction of the primitive to the t = 0 edge.
 
@@ -263,44 +241,3 @@ class Realization:
                 cache[u] = self.integrated_kernel(u)
             rows[i, :] = d[i] * cache[u][i, :]
         return rows
-
-
-def commutator_kernel_entry(
-    q1: Callable[[float], np.ndarray],
-    q2: Callable[[float], np.ndarray],
-    diag: DiagonalStructure,
-    length: float,
-    i: int,
-    j: int,
-    x: float,
-    t: float,
-    tol: float = 1e-9,
-) -> complex:
-    """Entry (i, j) of the kernel reconstructed from a separable commutator.
-
-    For a commutator right-hand side with kernel Q(x, t) = Q1(x) Q2(t) the
-    reconstruction at (x, t) is
-
-        (2 d_i d_j)^{-1} * int_{d_i x + d_j t}^{m} Q_ij(a(u), b(u)) du,
-
-    with m = min(d_i (2 length - x) + d_j t, d_i x + d_j (2 length - t)),
-    a(u) = (u + d_i x - d_j t) / (2 d_i), b(u) = (u - d_i x + d_j t) / (2 d_j).
-    Evaluated by adaptive quadrature to ``tol`` absolute.  Indices are
-    0-based.
-    """
-    if not (0 <= x <= length and 0 <= t <= length):
-        raise ValueError("evaluation point outside the square [0, length]^2")
-    di, dj = diag.d[i], diag.d[j]
-    lo = di * x + dj * t
-    hi = min(di * (2 * length - x) + dj * t, di * x + dj * (2 * length - t))
-    if hi <= lo:
-        return 0.0 + 0.0j
-
-    def integrand(u: float) -> np.ndarray:
-        a = (u + di * x - dj * t) / (2 * di)
-        b = (u - di * x + dj * t) / (2 * dj)
-        val = q1(a)[i, :] @ q2(b)[:, j]
-        return np.array([val], dtype=complex)
-
-    val, _ = quad_vec(integrand, lo, hi, epsabs=tol, epsrel=1e-12)
-    return complex(val[0]) / (2 * di * dj)

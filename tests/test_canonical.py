@@ -307,13 +307,6 @@ class TestRecoverHamiltonian:
         assert np.abs(grid.hamiltonian(float(grid.xs[k])) - grid.hams[k]).max() \
             <= 1e-10
 
-    def test_worker_count_does_not_change_values(self, scalar):
-        xs = np.linspace(0.1, 1.0, 10)
-        a = recover_hamiltonian(scalar, xs, workers=1)
-        b = recover_hamiltonian(scalar, xs, workers=2)
-        for k in range(10):
-            assert np.abs(a.gammas[k] - b.gammas[k]).max() <= 1e-14
-
     def test_rejects_unsorted_sample_points(self, scalar):
         with pytest.raises(ValueError):
             recover_hamiltonian(scalar, np.array([0.5, 0.3, 0.8]))

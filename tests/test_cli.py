@@ -1,6 +1,9 @@
 """Command-line interface: config parsing, commands, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,16 +204,18 @@ class TestRecover:
                          "--out", str(tmp_path / "h.csv")]) == 1
         assert "sample" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_bytes(self, scalar_cfg, tmp_path,
-                                                monkeypatch):
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        monkeypatch.setenv("DKINV_THREADS", "1")
-        assert cli.main(["recover", "--config", scalar_cfg, "--samples", "6",
-                         "--out", out1]) == 0
-        monkeypatch.setenv("DKINV_THREADS", "2")
-        assert cli.main(["recover", "--config", scalar_cfg, "--samples", "6",
-                         "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        # Recovery is serial; a "threads" flag is ignored like any unknown
+        # flag, so the output never depends on it.
+        outs = []
+        for flags in (None, {"threads": 1}, {"threads": 2}):
+            cfg = write_config(tmp_path, config_dict(scalar_realization(), flags),
+                               "scalar.json")
+            outs.append(str(tmp_path / f"h{len(outs)}.csv"))
+            assert cli.main(["recover", "--config", cfg, "--samples", "6",
+                             "--out", outs[-1]]) == 0
+        first = open(outs[0], "rb").read()
+        assert all(open(o, "rb").read() == first for o in outs[1:])
 
 
 class TestVerify:
@@ -338,3 +343,22 @@ class TestEquivalenceUnderResort:
         captured = capsys.readouterr()
         assert captured.out == out_sorted
         assert "re-sorted" in captured.err
+
+
+class TestReadmeExample:
+    def test_documented_commands_exit_zero(self, tmp_path, monkeypatch):
+        # The JSON block and the dkinv command lines of README's
+        # "Command line" section, run as documented.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("## Command line", 1)[1]
+        config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "problem.json").write_text(config, encoding="utf-8")
+        lines = [shlex.split(line) for line in commands.splitlines()
+                 if line.startswith("dkinv ")]
+        assert [argv[1] for argv in lines] == [
+            "invert", "recover", "verify", "weyl"]
+        for argv in lines:
+            assert cli.main(argv[1:]) == 0, " ".join(argv)

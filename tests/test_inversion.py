@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from dkinv import inversion
 from dkinv.inversion import (
@@ -11,7 +12,6 @@ from dkinv.inversion import (
     SingularCornerReport,
     SingularOperatorError,
 )
-from dkinv.kernels import DiagonalStructure
 
 from conftest import (
     random_realization,
@@ -38,25 +38,19 @@ class TestFundamentalSolution:
         for y in np.linspace(0.0, 1.0, 11):
             assert np.abs(f.value(float(y)) - scalar_u(y)).max() <= 1e-12
 
-    def test_scalar_rank_factors(self, scalar):
-        # B(y) = exp(i y) [-1; 1], C(y) = exp(-i y) [1, 1].
-        f = FundamentalSolution(scalar)
-        for y in (0.0, 0.3, 0.8):
-            assert np.allclose(f.b_matrix(y),
-                               np.exp(1j * y) * np.array([[-1.0], [1.0]]),
-                               atol=1e-12)
-            assert np.allclose(f.c_matrix(y),
-                               np.exp(-1j * y) * np.array([[1.0, 1.0]]),
-                               atol=1e-12)
-
     def test_derivative_matches_generator(self):
-        # dU/dy = B(y) C(y) U(y), checked by central differences.
+        # dU/dy = B(y) C(y) U(y), checked by central differences, with
+        # B(y) C(y) = e^{-yA} [-theta1; theta2] D^{-1} P(y) [theta2^H, theta1^H]
+        # e^{yA} and P(y) = diag(d_i * l > y) built here from the definition.
         r = random_realization(41, 2, 3, [2.0, 1.0])
         f = FundamentalSolution(r)
         h = 1e-6
         for y in (0.3, 0.7, 1.5):
+            alive = np.diag((r.diag.d * r.length > y).astype(float))
+            coupling = expm(-y * f.generator) @ f.stack @ r.diag.inv_matrix \
+                @ alive @ f.adj_row @ expm(y * f.generator)
             num = (f.value(y + h) - f.value(y - h)) / (2 * h)
-            want = f.b_matrix(y) @ f.c_matrix(y) @ f.value(y)
+            want = coupling @ f.value(y)
             assert np.abs(num - want).max() <= 1e-5 * (1 + np.abs(want).max())
 
     def test_j_unitarity(self):
@@ -254,23 +248,3 @@ class TestSingularOperator:
         ratio = np.linalg.norm(op.matrix @ h) / np.linalg.norm(h)
         assert ratio <= 1e-6
 
-
-class TestPullbackCoordinate:
-    def test_unit_dilation_is_identity(self):
-        diag = DiagonalStructure.from_values([1.0])
-        assert inversion.pullback_coordinate(diag, 1.0, 0, 0.3) == \
-            pytest.approx(0.3)
-
-    def test_out_of_range_component_gives_none(self):
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        assert inversion.pullback_coordinate(diag, 1.0, 1, 1.5) is None
-
-    def test_fast_component_reaches_further(self):
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        assert inversion.pullback_coordinate(diag, 1.0, 0, 1.5) == \
-            pytest.approx(0.75)
-
-    def test_component_index_validated(self):
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        with pytest.raises(ValueError):
-            inversion.pullback_coordinate(diag, 1.0, 2, 0.5)

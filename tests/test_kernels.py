@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dkinv import kernels
 from dkinv.kernels import DiagonalStructure, Realization, RealizationIdentityError
 from dkinv.linalg import DimensionError
 
@@ -137,46 +136,6 @@ class TestIntegratedKernel:
         assert e1 / e2 >= 3.0
 
 
-class TestTwoPointKernel:
-    def test_antisymmetry_weighted_by_diagonal(self):
-        # s(x, t) = -D^{-1} s(t, x)^H D pointwise.
-        r = random_realization(25, 3, 2, [2.0, 1.0, 1.0])
-        dmat, dinv = r.diag.matrix, r.diag.inv_matrix
-        rng = np.random.default_rng(0)
-        for _ in range(8):
-            x, t = rng.uniform(0.0, 1.0, 2)
-            lhs = r.integrated_kernel_two_point(x, t)
-            rhs = -dinv @ r.integrated_kernel_two_point(t, x).conj().T @ dmat
-            assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_diagonal_jump_is_unit(self):
-        # Each diagonal entry of s jumps by exactly one across the line
-        # d_i x = d_i t.
-        r = random_realization(26, 2, 2, [2.0, 1.0])
-        eps = 1e-8
-        for i, x in ((0, 0.4), (1, 0.7)):
-            above = r.integrated_kernel_two_point(x + eps, x)[i, i]
-            below = r.integrated_kernel_two_point(x - eps, x)[i, i]
-            assert (above - below) == pytest.approx(1.0, abs=1e-6)
-
-    def test_consistency_with_single_argument_form(self):
-        # Entry (i, j) evaluates s at u = d_i x - d_j t; for u < 0 the
-        # continuation is -(d_j / d_i) conj(s_ji(-u)).
-        r = random_realization(27, 2, 3, [3.0, 1.0])
-        d = np.diag(r.diag.matrix).real
-        x, t = 0.8, 0.3
-        two = r.integrated_kernel_two_point(x, t)
-        for i in range(2):
-            for j in range(2):
-                u = d[i] * x - d[j] * t
-                if u >= 0:
-                    want = r.integrated_kernel(u)[i, j]
-                else:
-                    want = -(d[j] / d[i]) * np.conj(
-                        r.integrated_kernel(-u)[j, i])
-                assert two[i, j] == pytest.approx(want, abs=1e-12)
-
-
 class TestEdgeProfile:
     def test_value_at_zero(self):
         r = random_realization(28, 2, 2, [2.0, 1.0])
@@ -218,72 +177,3 @@ class TestStructureIdentity:
     def test_zero_data_is_valid(self, zero_data):
         assert zero_data.identity_residual() == 0.0
 
-
-class TestCommutatorKernelEntry:
-    def test_zero_factor_gives_zero(self):
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        zf = lambda u: np.zeros((2, 2))
-        of = lambda u: np.ones((2, 2))
-        val = kernels.commutator_kernel_entry(zf, of, diag, 1.0, 0, 1, 0.4, 0.6)
-        assert val == 0.0
-
-    def test_far_corner_has_empty_range(self):
-        # At x = t = l the integration interval collapses to a point.
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        of = lambda u: np.ones((2, 2))
-        val = kernels.commutator_kernel_entry(of, of, diag, 1.0, 1, 0, 1.0, 1.0)
-        assert val == 0.0
-
-    def test_constant_factors_closed_form(self):
-        # For p = 1, d = [1], Q == c the integral is c times the length of
-        # [x + t, min(2l - x + t, x + 2l - t)], divided by 2.
-        diag = DiagonalStructure.from_values([1.0])
-        c = 3.0 + 1.0j
-        cf = lambda u: np.array([[c]])
-        idf = lambda u: np.eye(1)
-        ell = 1.0
-        for x, t in ((0.3, 0.5), (0.9, 0.2), (0.5, 0.5)):
-            want = (c / 2) * (min(2 * ell - x + t, x + 2 * ell - t) - x - t)
-            got = kernels.commutator_kernel_entry(cf, idf, diag, ell, 0, 0, x, t)
-            assert got == pytest.approx(want, abs=1e-9)
-
-    def test_constant_factors_scaled_diagonal(self):
-        # Same constant-factor case with d = [2]: the prefactor becomes
-        # 1/(2 d^2) and the limits stretch by d.
-        diag = DiagonalStructure.from_values([2.0])
-        c = 2.0 - 1.0j
-        cf = lambda u: np.array([[c]])
-        idf = lambda u: np.eye(1)
-        x, t, ell, dv = 0.3, 0.5, 1.0, 2.0
-        lo = dv * (x + t)
-        hi = min(dv * (2 * ell - x) + dv * t, dv * x + dv * (2 * ell - t))
-        want = c * (hi - lo) / (2 * dv * dv)
-        got = kernels.commutator_kernel_entry(cf, idf, diag, ell, 0, 0, x, t)
-        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_matches_fixed_order_quadrature(self):
-        # Independent evaluation of the same integral with a dense
-        # Gauss-Legendre rule on smooth polynomial/exponential factors.
-        diag = DiagonalStructure.from_values([2.0, 1.0])
-        q1 = lambda u: np.array([[u, 0.3], [1.0, u * u]], dtype=complex)
-        q2 = lambda u: np.array([[np.exp(0.5 * u), u], [0.1, 1.0]], dtype=complex)
-        ell, i, j, x, t = 1.0, 0, 1, 0.4, 0.55
-        d = np.diag(diag.matrix).real
-        lo = d[i] * x + d[j] * t
-        hi = min(d[i] * (2 * ell - x) + d[j] * t, d[i] * x + d[j] * (2 * ell - t))
-        nodes, weights = np.polynomial.legendre.leggauss(120)
-        u = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        total = 0.0 + 0.0j
-        for uk, wk in zip(u, weights):
-            a = (uk + d[i] * x - d[j] * t) / (2 * d[i])
-            b = (uk - d[i] * x + d[j] * t) / (2 * d[j])
-            total += wk * (q1(a) @ q2(b))[i, j]
-        want = total * 0.5 * (hi - lo) / (2 * d[i] * d[j])
-        got = kernels.commutator_kernel_entry(q1, q2, diag, ell, i, j, x, t)
-        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_rejects_points_outside_square(self):
-        diag = DiagonalStructure.from_values([1.0])
-        of = lambda u: np.eye(1)
-        with pytest.raises(ValueError):
-            kernels.commutator_kernel_entry(of, of, diag, 1.0, 0, 0, 1.2, 0.5)
