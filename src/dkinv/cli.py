@@ -306,8 +306,10 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
 
     Every check reports {value, tol, pass} with the uniform rule
     pass = (value <= tol); the positivity entry stores the negated minimum
-    eigenvalue so the rule applies unchanged.  Checks that cannot run
-    (because a prerequisite failed) store a 1e99 sentinel value.
+    eigenvalue so the rule applies unchanged.  A check that cannot run
+    stores a 1e99 sentinel value and an "error" field naming the exception
+    that stopped it.  The inverse kernel, the Nystrom matrix S_N and its LU
+    factor are built once per run and shared by the checks that need them.
     """
     quick = level == "quick"
     count = 100 if quick else 400
@@ -315,12 +317,15 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     r = cfg.realization()
     checks: Dict[str, dict] = {}
 
-    def record(name: str, value: float, tol: float) -> None:
+    def record(name: str, value: float, tol: float,
+               error: Optional[Exception] = None) -> None:
         checks[name] = {
             "value": float(value),
             "tol": float(tol),
             "pass": bool(value <= tol),
         }
+        if error is not None:
+            checks[name]["error"] = f"{type(error).__name__}: {error}"
 
     # Structure identity of the realization data.
     id_tol = 1e-10 * (1.0 + frob(r.beta))
@@ -328,7 +333,8 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     identity_ok = checks["structure_identity"]["pass"]
 
     # J-unitarity of the fundamental solution along the interval.
-    fund = inversion.FundamentalSolution(r)
+    kernel = inversion.InverseKernel.from_realization(r)
+    fund = kernel.fund
     jmat = fund.j_matrix
     worst = 0.0
     for y in np.linspace(0.0, fund.interval, points):
@@ -337,27 +343,25 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
         worst = max(worst, gap)
     record("j_unitarity", worst, 1e-9)
 
-    # Composition T_N S_N = I at the level's grid size.
+    # Composition T_N S_N = I at the level's grid size; T_N and the product
+    # are temporaries, so only S_N stays alive for the checks below.
+    s_op = discretization.discretize_operator(r, count)
     comp_tol = 2e-1 if quick else 5e-2
     try:
-        kernel = inversion.InverseKernel.from_realization(r)
         kernel._require_invertible()
-        s_op = discretization.discretize_operator(r, count)
-        t_op = discretization.discretize_inverse(kernel, count)
         comp = discretization.spectral_norm(
-            t_op.matrix @ s_op.matrix - np.eye(s_op.size))
+            discretization.discretize_inverse(kernel, count).matrix
+            @ s_op.matrix - np.eye(s_op.size))
         record("composition", comp, comp_tol)
-    except Exception:
-        record("composition", 1e99, comp_tol)
-        kernel = None
+    except Exception as exc:
+        record("composition", 1e99, comp_tol, exc)
 
     # Positivity of the symmetrized discretized operator.
     try:
-        low, _ = discretization.positivity_spectrum(
-            discretization.discretize_operator(r, count))
+        low, _ = discretization.positivity_spectrum(s_op)
         record("positivity_min_eig", -low, 0.0)
-    except ValueError:
-        record("positivity_min_eig", 1e99, 0.0)
+    except ValueError as exc:
+        record("positivity_min_eig", 1e99, 0.0, exc)
 
     # Recovery checks only make sense under the structure identity.
     if identity_ok:
@@ -375,9 +379,9 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
                     canonical.similarity_factor(gm, r.diag).residual)
             record("gamma_metric", gamma_gap, 1e-7)
             record("similarity", sim_gap, 1e-6)
-        except Exception:
-            record("gamma_metric", 1e99, 1e-7)
-            record("similarity", 1e99, 1e-6)
+        except Exception as exc:
+            record("gamma_metric", 1e99, 1e-7, exc)
+            record("similarity", 1e99, 1e-6, exc)
 
         # Weyl inequality margin via the discrete transfer function: the
         # accumulated energy stays below its bound iff the J-form of the
@@ -386,10 +390,10 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
         try:
             margin = 0.0
             ex = exchange_j(r.p)
-            for lam in lams:
+            wmats = discretization.discrete_matrizant(r, s_op, lams)
+            for lam, wmat in zip(lams, wmats):
                 phi = canonical.weyl_value(r, lam)
                 column = np.vstack([np.eye(r.p), -1j * phi])
-                wmat = discretization.discrete_matrizant(r, count, lam)
                 prop = wmat @ column
                 gap = float(np.trace(prop.conj().T @ ex @ prop).real)
                 rhs = float(np.trace((phi - phi.conj().T) / 2j).real
@@ -397,8 +401,8 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
                 margin = max(margin, -gap / (2 * lam.imag * max(abs(rhs),
                                                                 1e-30)))
             record("weyl_inequality_margin", margin, 1e-3)
-        except Exception:
-            record("weyl_inequality_margin", 1e99, 1e-3)
+        except Exception as exc:
+            record("weyl_inequality_margin", 1e99, 1e-3, exc)
     return checks
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm as _batch_expm
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .canonical import weyl_value
 from .inversion import FundamentalSolution, InverseKernel
@@ -145,10 +146,14 @@ def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _midpoint_integrator(count: int, h: float) -> np.ndarray:
+    """Lower-triangular midpoint rule for f -> integral_0^x f on the nodes."""
+    return h * (np.tril(np.ones((count, count)), -1) + 0.5 * np.eye(count))
+
+
 def _volterra_matrix(r: Realization, count: int, h: float) -> np.ndarray:
     """Discrete A = i * D (x) (lower-triangular midpoint integration)."""
-    tri = h * (np.tril(np.ones((count, count)), -1) + 0.5 * np.eye(count))
-    return 1j * np.kron(np.diag(r.diag.d), tri)
+    return 1j * np.kron(np.diag(r.diag.d), _midpoint_integrator(count, h))
 
 
 def identity_residual(r: Realization, count: int) -> float:
@@ -168,22 +173,35 @@ def identity_residual(r: Realization, count: int) -> float:
     return spectral_norm(lhs - rhs) / spectral_norm(op.matrix)
 
 
-def discrete_matrizant(r: Realization, count: int, lam: complex) -> np.ndarray:
-    """Transfer-function value of the discrete system at lambda.
+def discrete_matrizant(r: Realization, op: DiscreteOperator,
+                       lams: Sequence[complex]) -> np.ndarray:
+    """Transfer-function values of the discrete system, one per lambda.
 
     W_N = I + i*lambda*h * J Pi^H S^{-1} (I - lambda A)^{-1} Pi, the exact
     matrizant of the discretized problem; it converges to the canonical
-    system's matrizant at the right endpoint as the grid refines.
+    system's matrizant at the right endpoint as the grid refines.  ``op`` is
+    the Nystrom matrix S of ``r``; Pi is sampled and S is LU-factored once
+    for all lambdas.  A = i*D (x) tri is block-diagonal in the
+    component-major layout, so I - lambda A is solved one lower-triangular
+    block I - i*lambda*d_i*tri at a time.  Returns shape (len(lams), 2p, 2p).
     """
-    op = discretize_operator(r, count)
-    a_mat = _volterra_matrix(r, count, op.weight)
+    count = op.nodes.size
     pi = profile_samples(r, op.nodes)
-    jmat = exchange_j(r.p)
-    size = op.size
-    resolvent = np.linalg.solve(np.eye(size, dtype=complex) - lam * a_mat, pi)
-    weighted = np.linalg.solve(op.matrix, resolvent)
-    return np.eye(2 * r.p, dtype=complex) \
-        + 1j * lam * op.weight * (jmat @ pi.conj().T @ weighted)
+    tri = _midpoint_integrator(count, op.weight)
+    factor = lu_factor(op.matrix)
+    if not np.all(np.diag(factor[0])):
+        raise np.linalg.LinAlgError("Nystrom matrix is exactly singular")
+    j_pi = exchange_j(r.p) @ pi.conj().T
+    out = np.empty((len(lams), 2 * r.p, 2 * r.p), dtype=complex)
+    resolvent = np.empty_like(pi)
+    for k, lam in enumerate(lams):
+        for i, d_i in enumerate(r.diag.d):
+            rows = slice(i * count, (i + 1) * count)
+            resolvent[rows] = solve_triangular(
+                np.eye(count) - 1j * lam * d_i * tri, pi[rows], lower=True)
+        out[k] = np.eye(2 * r.p) \
+            + 1j * lam * op.weight * (j_pi @ lu_solve(factor, resolvent))
+    return out
 
 
 def node_gram(r: Realization, x: float, count: int) -> np.ndarray:

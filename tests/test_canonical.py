@@ -337,16 +337,16 @@ class TestMatrizant:
                                               scalar_recovery_grid):
         # Independent route: the transfer matrix assembled directly from
         # the realization's discretized operator, never touching gamma.
-        from dkinv.discretization import discrete_matrizant
+        from dkinv.discretization import discrete_matrizant, discretize_operator
         lam = 0.3 + 0.6j
-        want = discrete_matrizant(scalar, 400, lam)
+        want = discrete_matrizant(scalar, discretize_operator(scalar, 400), [lam])[0]
         got = matrizant(scalar_recovery_grid, lam)
         assert np.abs(got - want).max() <= 1e-3
 
     def test_matrix_case_matches_discrete(self, seed10, seed10_recovery_grid):
-        from dkinv.discretization import discrete_matrizant
+        from dkinv.discretization import discrete_matrizant, discretize_operator
         lam = 0.3 + 0.6j
-        want = discrete_matrizant(seed10, 400, lam)
+        want = discrete_matrizant(seed10, discretize_operator(seed10, 400), [lam])[0]
         got = matrizant(seed10_recovery_grid, lam)
         assert np.abs(got - want).max() <= 1e-3
 

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkinv import cli
+from dkinv import cli, discretization
 
 from conftest import (
     config_dict,
+    random_realization,
     scalar_realization,
     singular_scalar_realization,
     write_config,
@@ -254,6 +255,40 @@ class TestVerify:
         assert not checks["structure_identity"]["pass"]
         assert "FAIL" in capsys.readouterr().out
 
+    def test_sentinel_rows_name_their_cause(self, tmp_path):
+        # l = 4: S is positive definite, but the corner block is judged
+        # singular, so three checks cannot run and must say why.
+        r = random_realization(2, 2, 2, (2.0, 1.0), 4.0, 0.6)
+        path = write_config(tmp_path, config_dict(r), "long.json")
+        report = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", path, "--level", "quick",
+                         "--report", report]) == 1
+        checks = json.load(open(report))
+        causes = {"composition": "SingularOperatorError: ",
+                  "gamma_metric": "IntervalSingularityError: ",
+                  "similarity": "IntervalSingularityError: "}
+        for name, entry in checks.items():
+            if name in causes:
+                assert entry["value"] == 1e99 and not entry["pass"], name
+                assert entry["error"].startswith(causes[name]), name
+            else:
+                assert "error" not in entry, name
+
+    def test_builds_nystrom_objects_once(self, scalar_cfg, tmp_path,
+                                         monkeypatch):
+        calls = {"discretize_operator": 0, "profile_samples": 0}
+        for name in calls:
+            original = getattr(discretization, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(discretization, name, counted)
+        assert cli.main(["verify", "--config", scalar_cfg, "--level", "full",
+                         "--report", str(tmp_path / "r.json")]) == 0
+        assert calls == {"discretize_operator": 1, "profile_samples": 1}
+
     def test_unknown_level_is_usage_error(self, scalar_cfg, tmp_path):
         # argparse rejects the choice; the tool maps usage errors to 1.
         assert cli.main(["verify", "--config", scalar_cfg, "--level", "bogus",
@@ -345,15 +380,33 @@ class TestEquivalenceUnderResort:
         assert "re-sorted" in captured.err
 
 
+def _readme_command_line():
+    """The JSON block and the sh block of README's "Command line" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return config, commands
+
+
+# `verify --level full` on the README example, recorded with the dense
+# per-lambda solves of the earlier matrizant: (value, pass) per check.
+_README_FULL_REPORT = {
+    "composition": (0.0021145144670379557, True),
+    "gamma_metric": (7.763457343831856e-15, True),
+    "j_unitarity": (1.0987541673720122e-16, True),
+    "positivity_min_eig": (-0.5232745250418815, True),
+    "similarity": (8.384297404680616e-16, True),
+    "structure_identity": (8.372114093586462e-17, True),
+    "weyl_inequality_margin": (0.0, True),
+}
+
+
 class TestReadmeExample:
     def test_documented_commands_exit_zero(self, tmp_path, monkeypatch):
-        # The JSON block and the dkinv command lines of README's
-        # "Command line" section, run as documented.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-            encoding="utf-8")
-        section = readme.split("## Command line", 1)[1]
-        config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-        commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        # The dkinv command lines of the README, run as documented.
+        config, commands = _readme_command_line()
         monkeypatch.chdir(tmp_path)
         (tmp_path / "problem.json").write_text(config, encoding="utf-8")
         lines = [shlex.split(line) for line in commands.splitlines()
@@ -362,3 +415,20 @@ class TestReadmeExample:
             "invert", "recover", "verify", "weyl"]
         for argv in lines:
             assert cli.main(argv[1:]) == 0, " ".join(argv)
+
+    def test_full_verify_report_values(self, tmp_path):
+        # Rows at rounding level (below 1e-13) carry a 1e-14 absolute floor,
+        # so a different BLAS build cannot fail them; every other row is
+        # held to 1e-10 relative.
+        config, _ = _readme_command_line()
+        path = tmp_path / "problem.json"
+        path.write_text(config, encoding="utf-8")
+        report = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", str(path), "--level", "full",
+                         "--report", report]) == 0
+        checks = json.load(open(report))
+        assert set(checks) == set(_README_FULL_REPORT)
+        for name, (value, passed) in _README_FULL_REPORT.items():
+            assert checks[name]["value"] == pytest.approx(
+                value, rel=1e-10, abs=1e-14), name
+            assert checks[name]["pass"] is passed, name

@@ -181,7 +181,7 @@ class TestFourierResidual:
 
 class TestDiscreteMatrizant:
     def test_lambda_zero_is_identity(self, seed10):
-        w = discrete_matrizant(seed10, 64, 0.0)
+        w = discrete_matrizant(seed10, discretize_operator(seed10, 64), [0.0])[0]
         assert np.allclose(w, np.eye(2 * seed10.p), atol=1e-12)
 
     def test_scalar_against_independent_ode(self, scalar):
@@ -191,9 +191,29 @@ class TestDiscreteMatrizant:
         from dkinv.linalg import exchange_j
         lam = 0.4 + 0.8j
         j = exchange_j(1)
-        w1 = discrete_matrizant(scalar, 400, lam)
-        w2 = discrete_matrizant(scalar, 400, np.conj(lam))
+        w1, w2 = discrete_matrizant(scalar, discretize_operator(scalar, 400),
+                                    [lam, np.conj(lam)])
         assert np.abs(w2.conj().T @ j @ w1 - j).max() <= 1e-3
+
+    @pytest.mark.parametrize("name", ["scalar", "seed10"])
+    def test_matches_dense_solves(self, name, request):
+        # Oracle: the defining formula with two dense solves per lambda,
+        # against the one LU factor and the per-component triangular solves.
+        from dkinv.linalg import exchange_j
+        r = request.getfixturevalue(name)
+        count = 64
+        op = discretize_operator(r, count)
+        lams = [0.0, 0.3 + 0.6j, -0.9 + 0.7j]
+        got = discrete_matrizant(r, op, lams)
+        assert got.shape == (len(lams), 2 * r.p, 2 * r.p)
+        pi = profile_samples(r, op.nodes)
+        a_mat = discretization._volterra_matrix(r, count, op.weight)
+        for lam, w in zip(lams, got):
+            weighted = np.linalg.solve(op.matrix, np.linalg.solve(
+                np.eye(op.size) - lam * a_mat, pi))
+            want = np.eye(2 * r.p) + 1j * lam * op.weight * (
+                exchange_j(r.p) @ pi.conj().T @ weighted)
+            assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNodeGram:
