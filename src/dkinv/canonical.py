@@ -200,24 +200,18 @@ def inverse_kernel_for_interval(r: Realization, x: float) -> InverseKernel:
 def apply_triangular_adjoint(
     kernel: InverseKernel,
     f: Union[np.ndarray, Callable[[float], np.ndarray]],
-    x: Optional[float] = None,
 ) -> np.ndarray:
     """Evaluate the adjoint triangular factor at the interval's right end.
 
     Computes f(x) + int_0^x T_x(x, r) f(r) dr where T_x is the inverse
-    kernel on [0, x] (``kernel`` must be the one built for that interval)
-    and f is either a constant matrix with p rows or a callable returning
-    one.  The quadrature is split at every ratio point x*d_a/d_b where the
+    kernel on [0, x], x being the length ``kernel`` was built for, and f
+    is either a constant matrix with p rows or a callable returning one.
+    The quadrature is split at every ratio point x*d_a/d_b where the
     integrand's branch or segment changes.
     """
     kernel._require_invertible()
     r = kernel.realization
-    if x is None:
-        x = r.length
-    elif abs(x - r.length) > 1e-12 * max(1.0, r.length):
-        raise ValueError(
-            f"kernel was built for length {r.length}, not {x}; rebuild it"
-        )
+    x = r.length
     if callable(f):
         fval = f
     else:
@@ -305,8 +299,10 @@ def hamiltonian_factor(
     Two equivalent routes exist.  The closed route applies the triangular
     factor to a constant block row and subtracts the explicit correction —
     it needs an invertible state matrix.  The quadrature route applies the
-    factor to the x-dependent profile [Phi1, I] directly.  "auto" prefers
-    the closed route whenever the state matrix allows it.
+    factor to the x-dependent profile [Phi1, I] directly.  "auto", the
+    route recovery always takes, prefers the closed route whenever the
+    state matrix allows it; ``route`` selects one route explicitly only so
+    that the two can be cross-checked against each other.
     """
     r.require_identity()
     if route not in ("auto", "closed", "quadrature"):
@@ -326,14 +322,14 @@ def hamiltonian_factor(
             + 1j * r.theta2.conj().T @ solve(r.beta.conj().T, r.theta1),
             eye_p,
         ])
-        base = apply_triangular_adjoint(kernel, const, x)
+        base = apply_triangular_adjoint(kernel, const)
         corr = recovery_correction(r, x, kernel=kernel)
         return base - 1j * np.hstack([corr, np.zeros((p, p))])
 
     def profile(t: float) -> np.ndarray:
         return np.hstack([r.edge_profile(t), eye_p])
 
-    return apply_triangular_adjoint(kernel, profile, x)
+    return apply_triangular_adjoint(kernel, profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +358,6 @@ class HamiltonianGrid:
 def recover_hamiltonian(
     r: Realization,
     xs: Sequence[float],
-    route: str = "auto",
 ) -> HamiltonianGrid:
     """Recover gamma and H on a strictly increasing grid of points in (0, l].
 
@@ -378,7 +373,7 @@ def recover_hamiltonian(
     if xs[0] <= 0 or xs[-1] > r.length * (1 + 1e-12):
         raise ValueError(f"sample points must lie in (0, {r.length}]")
 
-    gammas = np.array([hamiltonian_factor(r, x, route=route) for x in xs])
+    gammas = np.array([hamiltonian_factor(r, x) for x in xs])
     hams = np.einsum("mij,mik->mjk", gammas.conj(), gammas)
     hams = 0.5 * (hams + np.conj(np.transpose(hams, (0, 2, 1))))
     return HamiltonianGrid(xs=xs, gammas=gammas, hams=hams, diag=r.diag)
@@ -391,13 +386,13 @@ def recover_hamiltonian(
 def matrizant(
     grid: HamiltonianGrid,
     lam: complex,
-    steps: Optional[int] = None,
     return_trajectory: bool = False,
 ):
     """Solve W' = i*lambda*J*H(x)*W, W(0) = I, to the grid's right end.
 
-    Fourth-order Runge-Kutta over the spline interpolant of H; the grid must
-    be dense enough to pin the spline (at least 200 samples).  With
+    Fourth-order Runge-Kutta over the spline interpolant of H, with twice
+    as many steps as grid intervals (at least 400); the grid must be dense
+    enough to pin the spline (at least 200 samples).  With
     ``return_trajectory`` the step nodes and all intermediate W values come
     back for trajectory integrals.
     """
@@ -406,10 +401,7 @@ def matrizant(
     p = grid.p
     jmat = exchange_j(p).astype(complex)
     end = float(grid.xs[-1])
-    if steps is None:
-        steps = 2 * max(grid.xs.size - 1, 200)
-    if steps % 2:
-        steps += 1
+    steps = 2 * max(grid.xs.size - 1, 200)
     h = end / steps
 
     def slope_matrix(x: float) -> np.ndarray:

@@ -9,10 +9,9 @@ A problem description is a JSON file
       "theta1": [[[re, im], ...], ...],   # n rows, p columns
       "theta2": [[[re, im], ...], ...],
       "beta":   [[[re, im], ...], ...],   # n rows, n columns
-      "flags":  {"route": "auto"}
     }
 
-Unknown flags are ignored.
+The recovery formula is chosen from beta; other keys are ignored.
 
 Complex entries are [re, im] pairs (bare reals are accepted on input but
 always serialized as pairs).  Outputs are CSV with 17-significant-digit
@@ -28,8 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,18 +39,10 @@ from .linalg import exchange_j, frob
 __all__ = [
     "ConfigError",
     "ProblemConfig",
-    "config_to_dict",
     "main",
     "parse_config",
     "parse_config_dict",
 ]
-
-_FMT = "%.17g"
-
-
-def _f(v: float) -> str:
-    return _FMT % v
-
 
 class ConfigError(ValueError):
     """Problem-description file is malformed or inconsistent."""
@@ -68,17 +59,12 @@ class ProblemConfig:
     theta1: np.ndarray
     theta2: np.ndarray
     beta: np.ndarray
-    flags: Dict[str, object] = field(default_factory=dict)
     permutation: Optional[Tuple[int, ...]] = None  # set when d was re-sorted
 
     def realization(self) -> Realization:
         diag = DiagonalStructure.from_values(self.d)
         return Realization.build(self.theta1, self.theta2, self.beta,
                                  diag, self.l)
-
-    @property
-    def route(self) -> str:
-        return str(self.flags.get("route", "auto"))
 
 
 def _pairs(m: np.ndarray) -> list:
@@ -143,9 +129,6 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
     theta1 = _complex_matrix(raw["theta1"], n, p, "theta1")
     theta2 = _complex_matrix(raw["theta2"], n, p, "theta2")
     beta = _complex_matrix(raw["beta"], n, n, "beta")
-    flags = raw.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ConfigError("flags must be an object")
 
     permutation = None
     if any(d[k] < d[k + 1] for k in range(p - 1)):
@@ -160,8 +143,7 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
             file=sys.stderr,
         )
     return ProblemConfig(p=p, n=n, d=tuple(d), l=length, theta1=theta1,
-                         theta2=theta2, beta=beta, flags=dict(flags),
-                         permutation=permutation)
+                         theta2=theta2, beta=beta, permutation=permutation)
 
 
 def parse_config(path: str) -> ProblemConfig:
@@ -180,47 +162,48 @@ def parse_config(path: str) -> ProblemConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def config_to_dict(cfg: ProblemConfig) -> dict:
-    """Serialize back to the JSON schema ([re, im] pairs everywhere)."""
-    out = {
-        "p": cfg.p,
-        "n": cfg.n,
-        "d": [float(v) for v in cfg.d],
-        "l": float(cfg.l),
-        "theta1": _pairs(cfg.theta1),
-        "theta2": _pairs(cfg.theta2),
-        "beta": _pairs(cfg.beta),
-        "flags": dict(cfg.flags),
-    }
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+def _write_csv(path: str, header: Sequence[str], index_cols: int,
+               blocks: Iterable[np.ndarray]) -> None:
+    """Write CSV rows one block at a time, so only one block is ever text.
+
+    A block is a 2-d float array with one column per header name.  The
+    first ``index_cols`` columns are written with %d and the rest with
+    %.17g, so equal runs produce byte-identical files.
+    """
+    row = ",".join(["%d"] * index_cols
+                   + ["%.17g"] * (len(header) - index_cols)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.writelines(row % tuple(values) for values in block.tolist())
+
 
 def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
     """Tabulate the inverse kernel on an N x N per-block midpoint grid.
 
     On a singular corner the kernel-basis functions are tabulated instead
-    (columns fn, i, x, re, im) and the exit status is 2.
+    (columns fn, i, x, re, im) and the exit status is 2.  In both tables a
+    contiguous complex column viewed as floats gives the re, im columns.
     """
     r = cfg.realization()
     kernel = inversion.InverseKernel.from_realization(r)
     xs = (np.arange(grid) + 0.5) * (r.length / grid)
+    p = r.p
 
     if not kernel.invertible:
         report = kernel.singular_report
         basis = inversion.null_basis_functions(kernel.fund, report)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("fn,i,x,re,im\n")
-            for fn_idx, func in enumerate(basis, start=1):
-                for x in xs:
-                    vec = func(float(x))
-                    for i in range(r.p):
-                        fh.write(
-                            f"{fn_idx},{i + 1},{_f(x)},"
-                            f"{_f(vec[i].real)},{_f(vec[i].imag)}\n")
+        i_x = np.column_stack([np.tile(np.arange(1, p + 1), grid),
+                               np.repeat(xs, p)])
+        blocks = (np.column_stack([
+            np.full(grid * p, fn_idx), i_x,
+            np.array([func(float(x)) for x in xs]).reshape(-1, 1).view(float),
+        ]) for fn_idx, func in enumerate(basis, start=1))
+        _write_csv(out_path, ("fn", "i", "x", "re", "im"), 2, blocks)
         print(
             f"operator is singular (corner rcond {report.rcond:.3e}); "
             f"wrote {len(basis)} kernel-basis function(s) to {out_path}",
@@ -228,18 +211,12 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
         )
         return 2
 
-    block = kernel.block_values(xs, xs)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("i,j,x,t,re,im\n")
-        for i in range(r.p):
-            for j in range(r.p):
-                for a in range(grid):
-                    row = block[i * grid + a]
-                    for b in range(grid):
-                        v = row[j * grid + b]
-                        fh.write(
-                            f"{i + 1},{j + 1},{_f(xs[a])},{_f(xs[b])},"
-                            f"{_f(v.real)},{_f(v.imag)}\n")
+    values = kernel.block_values(xs, xs)
+    blocks = (np.column_stack([
+        np.full((grid, 3), (i + 1, j + 1, xs[a])), xs,
+        values[i * grid + a, j * grid:(j + 1) * grid].reshape(-1, 1).view(float),
+    ]) for i in range(p) for j in range(p) for a in range(grid))
+    _write_csv(out_path, ("i", "j", "x", "t", "re", "im"), 2, blocks)
     return 0
 
 
@@ -264,36 +241,22 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
         return 1
     xs = np.linspace(r.length / samples, r.length, samples)
     try:
-        grid_data = canonical.recover_hamiltonian(r, xs, route=cfg.route)
+        grid_data = canonical.recover_hamiltonian(r, xs)
     except canonical.IntervalSingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     p = r.p
-    headers = ["x"]
-    for c in range(2 * p):
-        for row in range(p):
-            headers.append(f"g{row + 1}_{c + 1}_re")
-            headers.append(f"g{row + 1}_{c + 1}_im")
-    for c in range(2 * p):
-        for row in range(2 * p):
-            headers.append(f"h{row + 1}_{c + 1}_re")
-            headers.append(f"h{row + 1}_{c + 1}_im")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(headers) + "\n")
-        for k, x in enumerate(grid_data.xs):
-            cells = [_f(x)]
-            gm = grid_data.gammas[k]
-            hm = grid_data.hams[k]
-            for c in range(2 * p):
-                for row in range(p):
-                    cells.append(_f(gm[row, c].real))
-                    cells.append(_f(gm[row, c].imag))
-            for c in range(2 * p):
-                for row in range(2 * p):
-                    cells.append(_f(hm[row, c].real))
-                    cells.append(_f(hm[row, c].imag))
-            fh.write(",".join(cells) + "\n")
+    names = ([f"g{row + 1}_{c + 1}" for c in range(2 * p) for row in range(p)]
+             + [f"h{row + 1}_{c + 1}" for c in range(2 * p)
+                for row in range(2 * p)])
+    header = ["x"] + [f"{name}_{part}" for name in names
+                      for part in ("re", "im")]
+    # Column-major entries; the float view splits each into re, im.
+    table = np.column_stack([grid_data.xs] + [
+        m.transpose(0, 2, 1).reshape(samples, -1).view(float)
+        for m in (grid_data.gammas, grid_data.hams)])
+    _write_csv(out_path, header, 0, [table])
     return 0
 
 
@@ -367,7 +330,7 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     if identity_ok:
         xs = np.linspace(r.length / points, r.length, points)
         try:
-            grid_data = canonical.recover_hamiltonian(r, xs, route=cfg.route)
+            grid_data = canonical.recover_hamiltonian(r, xs)
             gamma_gap = 0.0
             sim_gap = 0.0
             ex = exchange_j(r.p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -87,14 +87,18 @@ def discretize_operator(r: Realization, count: int) -> DiscreteOperator:
         col_block[:, i * count:(i + 1) * count] = np.einsum(
             "avw,w->va", _batch_expm(-args), r.theta1[:, i])
 
-    upper = row_block @ col_block          # valid where d_i x_a >= d_j x_b
-    mirror = upper.conj().T                # valid on the other side
+    matrix = row_block @ col_block         # valid where d_i x_a >= d_j x_b
     coords = np.kron(d, xs)
     diff = coords[:, None] - coords[None, :]
     tol = 1e-13 * d[0] * max(r.length, 1.0)
-    kernel = np.where(diff > tol, upper,
-                      np.where(diff < -tol, mirror, 0.5 * (upper + mirror)))
-    matrix = np.eye(p * count, dtype=complex) + h * kernel
+    below, near = diff < -tol, np.abs(diff) <= tol
+    # Mirror (conjugate-transpose) entries are read from the valid side,
+    # which neither write touches.
+    mirror = matrix.T[below]
+    matrix[below] = np.conjugate(mirror, out=mirror)
+    matrix[near] = 0.5 * (matrix[near] + matrix.T[near].conj())
+    matrix *= h
+    matrix[np.diag_indices(p * count)] += 1.0
     return DiscreteOperator(nodes=xs, weight=h, matrix=matrix, components=p)
 
 
@@ -262,7 +266,7 @@ class Rk4Fundamental:
         adj = np.hstack([r.theta2.conj().T, r.theta1.conj().T])
         dinv = r.diag.inv_matrix
 
-        lefts, seg_levels = FundamentalSolution._segment_grid(r.diag, r.length, ())
+        lefts, seg_levels = FundamentalSolution._segment_grid(r.diag, r.length)
         rights = lefts[1:] + [self.interval]
         segments = list(zip(lefts, rights, seg_levels))
         y_mats = {}
@@ -339,25 +343,24 @@ class Rk4Fundamental:
 # Fourier-side check of the Weyl function
 # ---------------------------------------------------------------------------
 
-def fourier_transform_residual(r: Realization, lam: complex,
-                               xmax: Optional[float] = None) -> float:
+def fourier_transform_residual(r: Realization, lam: complex) -> float:
     """Relative gap between the Fourier quadrature and the resolvent formula.
 
     Integrates lambda * int_0^X e^{i lambda x} s(x)^H dx * D by adaptive
     quadrature (the integrand decays like e^{-Im(lambda) x}) and compares
-    with the closed resolvent expression for phi(lambda).  Requires
-    Im(lambda) >= 0.1 so the truncation at X is harmless.
+    with the closed resolvent expression for phi(lambda).  X is
+    ln(1e10) / Im(lambda), where that decay reaches 1e-10; Im(lambda) >= 0.1
+    is required so the truncation at X is harmless.
     """
     if lam.imag < 0.1 - 1e-15:
         raise ValueError("need Im(lambda) >= 0.1 for a convergent transform")
-    if xmax is None:
-        xmax = math.log(1e10) / lam.imag
+    end = math.log(1e10) / lam.imag
     phi = weyl_value(r, lam)
 
     def integrand(x: float) -> np.ndarray:
         return np.exp(1j * lam * x) * r.integrated_kernel(x).conj().T
 
-    chunk, _ = quad_vec(integrand, 0.0, xmax,
+    chunk, _ = quad_vec(integrand, 0.0, end,
                         epsabs=1e-12, epsrel=1e-12, limit=600)
     transform = lam * chunk @ r.diag.matrix
     return frob(transform - phi) / frob(phi)

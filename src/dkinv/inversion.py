@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -80,14 +80,9 @@ class FundamentalSolution:
     chained from U(0) = I.  A breakpoint belongs to the segment where it is
     the left endpoint; the last segment also owns its right endpoint.  All
     caches are built up front, so concurrent evaluation is safe.
-
-    ``extra_breakpoints`` splits segments at additional interior points
-    without changing the level assignment — the chained result must not
-    change, which is exactly the consistency property the tests exercise.
     """
 
-    def __init__(self, realization: Realization,
-                 extra_breakpoints: Sequence[float] = ()):
+    def __init__(self, realization: Realization):
         r = realization
         self.realization = r
         n, p = r.n, r.p
@@ -104,7 +99,7 @@ class FundamentalSolution:
         self.stack = np.vstack([-r.theta1, r.theta2])
         self.adj_row = np.hstack([r.theta2.conj().T, r.theta1.conj().T])
 
-        lefts, levels = self._segment_grid(r.diag, r.length, extra_breakpoints)
+        lefts, levels = self._segment_grid(r.diag, r.length)
         self.breakpoints = np.array(lefts + [self.interval])
 
         dinv = r.diag.inv_matrix
@@ -131,25 +126,15 @@ class FundamentalSolution:
                 arr.flags.writeable = False
 
     @staticmethod
-    def _segment_grid(diag: DiagonalStructure, length: float,
-                      extra: Sequence[float]):
+    def _segment_grid(diag: DiagonalStructure, length: float):
+        """Segment left ends 0 < d~_{k-1} l < ... < d~_1 l and their levels.
+
+        The segment starting at lefts[m] has level index k+1-m, so the
+        innermost segment gets P_{k+1} = I.
+        """
         k = diag.num_levels
-        a = diag.levels[0] * length
-        natural = [0.0] + [diag.levels[m] * length for m in range(k - 1, 0, -1)]
-        # natural[m] has level index k+1-m (innermost segment gets P_{k+1} = I)
-        lefts = list(natural)
-        for b in extra:
-            b = float(b)
-            if not 0.0 < b < a:
-                raise ValueError(f"extra breakpoint {b} outside (0, {a})")
-            if all(abs(b - c) > _FUZZ * a for c in lefts):
-                lefts.append(b)
-        lefts.sort()
-        levels = []
-        for left in lefts:
-            m = bisect_right(natural, left) - 1
-            levels.append(k + 1 - m)
-        return lefts, levels
+        lefts = [0.0] + [diag.levels[m] * length for m in range(k - 1, 0, -1)]
+        return lefts, list(range(k + 1, 1, -1))
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """U^{-1} through the symplectic-type relation, solve as fallback.
@@ -292,9 +277,8 @@ class InverseKernel:
             self.upper_factor.flags.writeable = False
 
     @classmethod
-    def from_realization(cls, realization: Realization,
-                         extra_breakpoints: Sequence[float] = ()) -> "InverseKernel":
-        fund = FundamentalSolution(realization, extra_breakpoints)
+    def from_realization(cls, realization: Realization) -> "InverseKernel":
+        fund = FundamentalSolution(realization)
         return cls(realization, fund, branch_projector(fund))
 
     def _require_invertible(self) -> None:

@@ -172,15 +172,15 @@ class Realization:
         rhs = 1j * gap @ self.diag.inv_matrix @ gap.conj().T
         return frob(lhs - rhs)
 
-    def require_identity(self, scale: float = 1e-10) -> None:
-        """Raise unless the structure identity holds to scale*(1 + ||beta||).
+    def require_identity(self) -> None:
+        """Raise unless the structure identity holds to 1e-10 (1 + ||beta||).
 
         Also checks, once the identity passes, that the state spectrum stays
         in the closed lower half-plane (a consequence of the identity that
         should never fail except through numerical abuse).
         """
         res = self.identity_residual()
-        tol = scale * (1.0 + frob(self.beta))
+        tol = 1e-10 * (1.0 + frob(self.beta))
         if res > tol:
             raise RealizationIdentityError(
                 f"structure identity residual {res:.3e} exceeds {tol:.3e}", res

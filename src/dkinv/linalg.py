@@ -132,12 +132,14 @@ def symplectic_j(n: int) -> np.ndarray:
     return j
 
 
-def spectral_norm(a, max_iter: int = 200, rel_tol: float = 1e-9) -> float:
+def spectral_norm(a) -> float:
     """Largest singular value, by power iteration on a^H a.
 
-    Deterministic (fixed, slightly skewed start vector) so repeated runs
-    agree to the bit; a few hundred matvecs beat a full SVD by orders of
-    magnitude on the large discretized operators this gets applied to.
+    At most 200 steps, stopping once the estimate moves by at most 1e-9
+    relative.  Deterministic (fixed, slightly skewed start vector) so
+    repeated runs agree to the bit; a few hundred matvecs beat a full SVD
+    by orders of magnitude on the large discretized operators this gets
+    applied to.
     """
     a = as_matrix(a, "spectral_norm operand")
     if a.size == 0:
@@ -146,7 +148,7 @@ def spectral_norm(a, max_iter: int = 200, rel_tol: float = 1e-9) -> float:
     v = np.ones(cols, dtype=complex) + 1e-3j * np.arange(cols)
     v /= np.linalg.norm(v)
     estimate = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         w = a @ v
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
@@ -157,6 +159,6 @@ def spectral_norm(a, max_iter: int = 200, rel_tol: float = 1e-9) -> float:
         if norm_next == 0.0:
             return estimate
         v = v_next / norm_next
-        if abs(estimate - previous) <= rel_tol * estimate:
+        if abs(estimate - previous) <= 1e-9 * estimate:
             break
     return estimate

@@ -167,20 +167,20 @@ class TestTriangularAdjoint:
     def test_zero_data_returns_input(self, zero_data):
         kern = inverse_kernel_for_interval(zero_data, 1.0)
         m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        assert np.allclose(apply_triangular_adjoint(kern, m, 1.0), m, atol=1e-13)
+        assert np.allclose(apply_triangular_adjoint(kern, m), m, atol=1e-13)
 
     def test_short_interval_limit_is_identity_action(self, seed10):
         x = 1e-6
         kern = inverse_kernel_for_interval(seed10, x)
         m = np.eye(2, dtype=complex)
-        got = apply_triangular_adjoint(kern, m, x)
+        got = apply_triangular_adjoint(kern, m)
         assert np.abs(got - m).max() <= 1e-4
 
     def test_scalar_constant_input_closed_form(self, scalar):
         # f == 1 on [0, 1]: 1 + int_0^1 (-exp(i(r-1))/2) dr
         #                 = 1 + (i/2)(1 - exp(-i)).
         kern = inverse_kernel_for_interval(scalar, 1.0)
-        got = apply_triangular_adjoint(kern, np.eye(1, dtype=complex), 1.0)
+        got = apply_triangular_adjoint(kern, np.eye(1, dtype=complex))
         want = 1.0 + 0.5j * (1.0 - np.exp(-1j))
         assert got[0, 0] == pytest.approx(want, abs=1e-9)
 
@@ -188,14 +188,14 @@ class TestTriangularAdjoint:
         x = 0.8
         kern = inverse_kernel_for_interval(seed10, x)
         m = np.array([[0.5, -0.25], [1.0, 0.0]], dtype=complex)
-        got_c = apply_triangular_adjoint(kern, m, x)
-        got_f = apply_triangular_adjoint(kern, lambda t: m, x)
+        got_c = apply_triangular_adjoint(kern, m)
+        got_f = apply_triangular_adjoint(kern, lambda t: m)
         assert np.abs(got_c - got_f).max() <= 1e-10
 
     def test_row_count_validated(self, seed10):
         kern = inverse_kernel_for_interval(seed10, 1.0)
         with pytest.raises(ValueError):
-            apply_triangular_adjoint(kern, np.eye(3, dtype=complex), 1.0)
+            apply_triangular_adjoint(kern, np.eye(3, dtype=complex))
 
 
 class TestRecoveryCorrection:
@@ -223,9 +223,9 @@ class TestRecoveryCorrection:
                 scalar.beta.conj().T, scalar.theta1),
             np.eye(1),
         ])
-        base = apply_triangular_adjoint(kern, const, x)
+        base = apply_triangular_adjoint(kern, const)
         quad = apply_triangular_adjoint(
-            kern, lambda t: np.hstack([scalar.edge_profile(t), np.eye(1)]), x)
+            kern, lambda t: np.hstack([scalar.edge_profile(t), np.eye(1)]))
         implied = (base - quad)[:, :1] / 1j
         got = recovery_correction(scalar, x, kernel=kern)
         assert np.abs(got - implied).max() <= 1e-8

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkinv import cli, discretization
+from dkinv import canonical, cli, discretization, inversion
 
 from conftest import (
     config_dict,
@@ -51,16 +51,6 @@ def singular_cfg(tmp_path):
 
 
 class TestConfigParsing:
-    def test_round_trip(self, seed10):
-        cfg = cli.parse_config_dict(config_dict(seed10, flags={"route": "auto"}))
-        again = cli.parse_config_dict(cli.config_to_dict(cfg))
-        assert again.p == cfg.p and again.n == cfg.n
-        assert again.d == cfg.d and again.l == cfg.l
-        assert np.array_equal(again.theta1, cfg.theta1)
-        assert np.array_equal(again.theta2, cfg.theta2)
-        assert np.array_equal(again.beta, cfg.beta)
-        assert again.flags == cfg.flags
-
     def test_missing_field_reported(self):
         raw = config_dict(scalar_realization())
         del raw["beta"]
@@ -205,18 +195,100 @@ class TestRecover:
                          "--out", str(tmp_path / "h.csv")]) == 1
         assert "sample" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        # Recovery is serial; a "threads" flag is ignored like any unknown
-        # flag, so the output never depends on it.
-        outs = []
-        for flags in (None, {"threads": 1}, {"threads": 2}):
-            cfg = write_config(tmp_path, config_dict(scalar_realization(), flags),
-                               "scalar.json")
-            outs.append(str(tmp_path / f"h{len(outs)}.csv"))
-            assert cli.main(["recover", "--config", cfg, "--samples", "6",
-                             "--out", outs[-1]]) == 0
-        first = open(outs[0], "rb").read()
-        assert all(open(o, "rb").read() == first for o in outs[1:])
+    def test_flags_do_not_change_bytes(self, seed10, tmp_path):
+        # The recovery formula is chosen from beta alone; a "flags" key is
+        # ignored like any unknown key, so the output never depends on it.
+        for r in (scalar_realization(), seed10):
+            outs = []
+            for flags in (None, {"threads": 1}, {"threads": 2},
+                          {"route": "quadrature"}, {"route": "closed"}):
+                cfg = write_config(tmp_path, config_dict(r, flags), "p.json")
+                outs.append(str(tmp_path / f"h{len(outs)}.csv"))
+                assert cli.main(["recover", "--config", cfg, "--samples", "6",
+                                 "--out", outs[-1]]) == 0
+            first = open(outs[0], "rb").read()
+            assert all(open(o, "rb").read() == first for o in outs[1:])
+
+
+# Reference writers: the per-cell loops the CSV tables were first written
+# with.  The streaming writer must reproduce their bytes exactly.
+
+def _f(v):
+    return "%.17g" % v
+
+
+def _reference_invert(cfg, grid, path):
+    r = cfg.realization()
+    kernel = inversion.InverseKernel.from_realization(r)
+    xs = (np.arange(grid) + 0.5) * (r.length / grid)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if not kernel.invertible:
+            basis = inversion.null_basis_functions(kernel.fund,
+                                                   kernel.singular_report)
+            fh.write("fn,i,x,re,im\n")
+            for fn_idx, func in enumerate(basis, start=1):
+                for x in xs:
+                    vec = func(float(x))
+                    for i in range(r.p):
+                        fh.write(f"{fn_idx},{i + 1},{_f(x)},"
+                                 f"{_f(vec[i].real)},{_f(vec[i].imag)}\n")
+            return
+        block = kernel.block_values(xs, xs)
+        fh.write("i,j,x,t,re,im\n")
+        for i in range(r.p):
+            for j in range(r.p):
+                for a in range(grid):
+                    row = block[i * grid + a]
+                    for b in range(grid):
+                        v = row[j * grid + b]
+                        fh.write(f"{i + 1},{j + 1},{_f(xs[a])},{_f(xs[b])},"
+                                 f"{_f(v.real)},{_f(v.imag)}\n")
+
+
+def _reference_recover(cfg, samples, path):
+    r = cfg.realization()
+    xs = np.linspace(r.length / samples, r.length, samples)
+    grid_data = canonical.recover_hamiltonian(r, xs)
+    p = r.p
+    headers = ["x"]
+    for c in range(2 * p):
+        for row in range(p):
+            headers += [f"g{row + 1}_{c + 1}_re", f"g{row + 1}_{c + 1}_im"]
+    for c in range(2 * p):
+        for row in range(2 * p):
+            headers += [f"h{row + 1}_{c + 1}_re", f"h{row + 1}_{c + 1}_im"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(headers) + "\n")
+        for k, x in enumerate(grid_data.xs):
+            cells = [_f(x)]
+            gm, hm = grid_data.gammas[k], grid_data.hams[k]
+            for c in range(2 * p):
+                for row in range(p):
+                    cells += [_f(gm[row, c].real), _f(gm[row, c].imag)]
+            for c in range(2 * p):
+                for row in range(2 * p):
+                    cells += [_f(hm[row, c].real), _f(hm[row, c].imag)]
+            fh.write(",".join(cells) + "\n")
+
+
+class TestCsvLayout:
+    @pytest.mark.parametrize("command, cfg_name, size, code", [
+        ("invert", "seed10_cfg", 8, 0),
+        ("invert", "singular_cfg", 8, 2),
+        ("recover", "seed10_cfg", 6, 0),
+        ("recover", "scalar_cfg", 6, 0),
+    ])
+    def test_matches_reference_writer(self, command, cfg_name, size, code,
+                                      request, tmp_path):
+        path = request.getfixturevalue(cfg_name)
+        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        flag = "--grid" if command == "invert" else "--samples"
+        assert cli.main([command, "--config", path, flag, str(size),
+                         "--out", got]) == code
+        reference = _reference_invert if command == "invert" \
+            else _reference_recover
+        reference(cli.parse_config(path), size, want)
+        assert open(got, "rb").read() == open(want, "rb").read()
 
 
 class TestVerify:

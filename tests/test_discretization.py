@@ -26,7 +26,46 @@ from conftest import (
 )
 
 
+def _nested_where_operator(r, count):
+    """S_N built with the nested np.where of the original implementation."""
+    from scipy.linalg import expm
+    xs, h = discretization._midpoint_nodes(r.length, count)
+    n, p, d = r.n, r.p, r.diag.d
+    beta_h = r.beta.conj().T
+    row_block = np.empty((p * count, n), dtype=complex)
+    col_block = np.empty((n, p * count), dtype=complex)
+    for i in range(p):
+        args = 1j * (d[i] * xs)[:, None, None] * beta_h[None, :, :]
+        row_block[i * count:(i + 1) * count, :] = np.einsum(
+            "v,avw->aw", np.conj(r.theta2[:, i]), expm(args))
+        col_block[:, i * count:(i + 1) * count] = np.einsum(
+            "avw,w->va", expm(-args), r.theta1[:, i])
+    upper = row_block @ col_block
+    mirror = upper.conj().T
+    coords = np.kron(d, xs)
+    diff = coords[:, None] - coords[None, :]
+    tol = 1e-13 * d[0] * max(r.length, 1.0)
+    kernel = np.where(diff > tol, upper,
+                      np.where(diff < -tol, mirror, 0.5 * (upper + mirror)))
+    return np.eye(p * count, dtype=complex) + h * kernel, diff, tol
+
+
 class TestDiscretizeOperator:
+    @pytest.mark.parametrize("case", ["scalar", "seed10", "repeated"])
+    def test_matches_nested_where_formula(self, case, request):
+        # The in-place masked build must reproduce the reference bit for bit;
+        # the repeated dilation (d_2 = d_3) puts exact collisions d_i x_a =
+        # d_j x_b off the diagonal, so the averaged branch is exercised.
+        if case == "repeated":
+            r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
+        else:
+            r = request.getfixturevalue(case)
+        count = 24
+        want, diff, tol = _nested_where_operator(r, count)
+        if case == "repeated":
+            assert np.count_nonzero(np.abs(diff) <= tol) > r.p * count
+        assert np.array_equal(discretize_operator(r, count).matrix, want)
+
     def test_zero_data_is_identity(self, zero_data):
         op = discretize_operator(zero_data, 32)
         assert op.size == 2 * 32
