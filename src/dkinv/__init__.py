@@ -10,8 +10,9 @@ realization k(x) = theta2^H e^{i x beta^H} theta1.  For such data:
   linear system in closed form and from it the inverse kernel of S;
 * :mod:`dkinv.canonical` evaluates the rational Weyl function, its spectral
   data, and recovers the Hamiltonian of the matching canonical system;
-* :mod:`dkinv.discretization` re-derives everything on grids (Nystrom,
-  Runge-Kutta, Fourier quadrature) purely as an independent cross-check;
+* :mod:`dkinv.discretization` re-derives the operator, its inverse and the
+  transfer matrix on midpoint grids as the independent cross-check that
+  ``dkinv verify`` runs;
 * :mod:`dkinv.cli` exposes the batch pipelines.
 """
 
@@ -37,11 +38,9 @@ from .canonical import (
     WeylFunction,
     WeylPoleError,
     apply_triangular_adjoint,
-    energy_inequality,
     hamiltonian_factor,
     herglotz_data,
     inverse_kernel_for_interval,
-    matrizant,
     recover_hamiltonian,
     recovery_correction,
     similarity_factor,
@@ -65,11 +64,9 @@ __all__ = [
     "WeylPoleError",
     "apply_triangular_adjoint",
     "branch_projector",
-    "energy_inequality",
     "hamiltonian_factor",
     "herglotz_data",
     "inverse_kernel_for_interval",
-    "matrizant",
     "null_basis_functions",
     "recover_hamiltonian",
     "recovery_correction",

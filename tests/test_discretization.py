@@ -5,16 +5,11 @@ import pytest
 
 from dkinv import discretization, inversion
 from dkinv.discretization import (
-    Rk4Fundamental,
     discrete_matrizant,
     discretize_inverse,
     discretize_operator,
-    fourier_transform_residual,
-    identity_residual,
-    node_gram,
     positivity_spectrum,
     profile_samples,
-    reverse_cholesky,
 )
 from dkinv.inversion import FundamentalSolution, InverseKernel
 
@@ -23,6 +18,13 @@ from conftest import (
     scalar_realization,
     singular_scalar_realization,
     zero_realization,
+)
+from oracles import (
+    Rk4Fundamental,
+    fourier_transform_residual,
+    identity_residual,
+    node_gram,
+    volterra_matrix,
 )
 
 
@@ -246,7 +248,7 @@ class TestDiscreteMatrizant:
         got = discrete_matrizant(r, op, lams)
         assert got.shape == (len(lams), 2 * r.p, 2 * r.p)
         pi = profile_samples(r, op.nodes)
-        a_mat = discretization._volterra_matrix(r, count, op.weight)
+        a_mat = volterra_matrix(r, count, op.weight)
         for lam, w in zip(lams, got):
             weighted = np.linalg.solve(op.matrix, np.linalg.solve(
                 np.eye(op.size) - lam * a_mat, pi))
@@ -271,23 +273,6 @@ class TestNodeGram:
     def test_domain_gate(self, scalar):
         with pytest.raises(ValueError):
             node_gram(scalar, 1.5, 100)
-
-
-class TestReverseCholesky:
-    def test_reconstructs_and_is_upper(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = a @ a.conj().T + 6 * np.eye(6)
-        rmat = reverse_cholesky(m)
-        assert np.allclose(rmat @ rmat.conj().T, m, atol=1e-10)
-        assert np.abs(np.tril(rmat, -1)).max() <= 1e-12
-
-    def test_identity(self):
-        assert np.allclose(reverse_cholesky(np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            reverse_cholesky(np.diag([1.0, -1.0]))
 
 
 class TestProfileSamples:
