@@ -288,14 +288,15 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
     n, p, d = r.n, r.p, r.diag.d
     eye2n = np.eye(2 * n)
     embed = np.vstack([np.eye(n), np.zeros((n, n))])  # [I_n; 0]
-    corner_inv = fund.inverse(d[0] * x)
+    corner_inv = fund._invert(fund.corner())  # U(d_1 x)^{-1}
     right_factor = solve(beta.conj().T, r.theta1)
     adj = fund.adj_row  # [theta2^H, theta1^H]
 
     out = np.empty((p, p), dtype=complex)
     for s in range(p):
         y = d[s] * x
-        middle = proj @ corner_inv - fund.inverse(y) + eye2n - proj
+        u_inv = corner_inv if d[s] == d[0] else fund.inverse(y)
+        middle = proj @ corner_inv - u_inv + eye2n - proj
         direct = r.theta2.conj().T[s, :] @ mat_exp(1j * y * beta.conj().T)
         bracket = adj[s, :] @ fund.propagated(y) @ middle @ embed
         out[s, :] = (direct + bracket) @ right_factor

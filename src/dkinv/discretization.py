@@ -18,16 +18,18 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm as _batch_expm
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cholesky, lu_factor, lu_solve, solve_triangular
 
 from .inversion import InverseKernel
 from .kernels import Realization
-# spectral_norm is read as discretization.spectral_norm by `dkinv verify`
-# and by the benchmark's composition check.
-from .linalg import exchange_j, frob, spectral_norm
+# spectral_norm is read as discretization.spectral_norm by the benchmark's
+# composition check.
+from .linalg import (exchange_j, frob, lanczos_extremes, operator_norm,
+                     spectral_norm)
 
 __all__ = [
     "DiscreteOperator",
+    "composition_residual",
     "discrete_matrizant",
     "discretize_inverse",
     "discretize_operator",
@@ -107,11 +109,49 @@ def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
                             components=r.p)
 
 
+def composition_residual(kernel: InverseKernel, op: DiscreteOperator) -> float:
+    """||T_N S_N - I||_2 for S_N = ``op`` and T_N = I + inverse kernel.
+
+    T_N is built on the nodes of ``op`` and lives only for this call.  The
+    norm comes from power iteration on the matvecs v -> T(Sv) - v and
+    w -> conj((conj(w) T) S) - w, so neither the product nor a conjugate
+    transpose is formed.
+    """
+    t_mat = discretize_inverse(kernel, op.nodes.size).matrix
+    s_mat = op.matrix
+    return operator_norm(lambda v: t_mat @ (s_mat @ v) - v,
+                         lambda w: ((w.conj() @ t_mat) @ s_mat).conj() - w,
+                         op.size)
+
+
+def _bounded_below(herm: np.ndarray, shift: float) -> bool:
+    """True iff herm - shift*I has a Cholesky factor.
+
+    By Sylvester's law of inertia success proves that no eigenvalue of the
+    Hermitian ``herm`` lies below ``shift``.  The factor overwrites one copy:
+    herm.copy().T is conj(herm), Fortran-ordered with the same spectrum.
+    """
+    shifted = herm.copy().T
+    shifted[np.diag_indices_from(shifted)] -= shift
+    try:
+        cholesky(shifted, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:
     """Extreme eigenvalues of the (Hermitian) discretized operator.
 
     Refuses matrices whose anti-Hermitian part exceeds discretization dust;
-    the remaining symmetrization only removes rounding noise.
+    the remaining symmetrization only removes rounding noise.  The extremes
+    come from Lanczos (:func:`lanczos_extremes`).  The minimum theta is
+    certified by a Cholesky factor of H - (theta - delta) I with delta =
+    1e-10 max(1, |theta|), so the true minimum lies in [theta - delta,
+    theta]; the maximum is a Ritz value, a lower bound on the true maximum.
+    A dense ``eigvalsh`` answers instead when Lanczos does not converge, the
+    certificate fails, or theta <= delta: near a singular or indefinite
+    operator the sign of the minimum is rounding noise.
     """
     m = op.matrix
     skew = frob(m - m.conj().T)
@@ -120,7 +160,14 @@ def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:
             f"matrix is not Hermitian (skew part {skew:.3e}); "
             "positivity is undefined"
         )
-    evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    herm = 0.5 * (m + m.conj().T)
+    ritz = lanczos_extremes(herm)
+    if ritz is not None:
+        low, high = ritz
+        delta = 1e-10 * max(1.0, abs(low))
+        if low > delta and _bounded_below(herm, low - delta):
+            return low, high
+    evals = np.linalg.eigvalsh(herm)
     return float(evals[0]), float(evals[-1])
 
 
@@ -129,16 +176,26 @@ def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
 
     Row (i, a) holds [Phi1(x_a)[i, :], e_i^T]; this (p*N) x 2p matrix is the
     discrete stand-in for the pair of profiles that generate both the
-    operator identity and the transfer function below.
+    operator identity and the transfer function below.  Phi1 is the edge
+    profile of :meth:`Realization.edge_profile`, row i being (d_i/2) e_i +
+    theta2[:, i]^H Psi(d_i x) theta1 with Psi(u) = int_0^u e^{iw beta^H} dw,
+    read off one stacked exponential of ``r.primitive_generator`` * u over
+    all p*N points u = d_i x_a.
     """
+    xs = np.asarray(xs, dtype=float)
+    if xs.min() < 0 or xs.max() > r.length * (1 + 1e-12):
+        raise ValueError(f"profile points outside [0, {r.length}]")
     count = xs.size
-    p = r.p
+    n, p, d = r.n, r.p, r.diag.d
+    psi = _batch_expm(np.kron(d, xs)[:, None, None]
+                      * r.primitive_generator)[:, :n, n:]
+    comp = np.repeat(np.arange(p), count)
+    rows = np.arange(p * count)
     out = np.zeros((p * count, 2 * p), dtype=complex)
-    for a, x in enumerate(xs):
-        prof = r.edge_profile(float(x))
-        for i in range(p):
-            out[i * count + a, :p] = prof[i, :]
-            out[i * count + a, p + i] = 1.0
+    out[:, :p] = np.einsum("av,avw->aw", r.theta2.conj().T[comp], psi) \
+        @ r.theta1
+    out[rows, comp] += 0.5 * d[comp]
+    out[rows, p + comp] = 1.0
     return out
 
 

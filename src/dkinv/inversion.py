@@ -161,9 +161,6 @@ class FundamentalSolution:
         idx = max(idx, 0)
         return self.segments[idx], y
 
-    def segment_level(self, y: float) -> int:
-        return self._locate(y)[0].level
-
     # -- evaluators ----------------------------------------------------------
 
     def value(self, y: float) -> np.ndarray:

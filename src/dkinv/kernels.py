@@ -216,12 +216,21 @@ class Realization:
         """
         if x < 0:
             raise ValueError("integrated_kernel takes a nonnegative argument")
-        n, p = self.n, self.p
+        block = mat_exp(x * self.primitive_generator)[:self.n, self.n:]
+        return 0.5 * np.eye(self.p) + self.diag.inv_matrix @ self.theta2.conj().T @ block @ self.theta1
+
+    @property
+    def primitive_generator(self) -> np.ndarray:
+        """Augmented generator [[i beta^H, I], [0, 0]] of size 2n.
+
+        The top-right n x n block of exp(u * generator) is
+        int_0^u e^{iw beta^H} dw, for any beta, singular included.
+        """
+        n = self.n
         aug = np.zeros((2 * n, 2 * n), dtype=complex)
         aug[:n, :n] = 1j * self.beta.conj().T
         aug[:n, n:] = np.eye(n)
-        block = mat_exp(x * aug)[:n, n:]
-        return 0.5 * np.eye(p) + self.diag.inv_matrix @ self.theta2.conj().T @ block @ self.theta1
+        return aug
 
     def edge_profile(self, x: float) -> np.ndarray:
         """Scaled restriction of the primitive to the t = 0 edge.

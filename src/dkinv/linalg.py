@@ -1,11 +1,15 @@
 """Dense complex linear-algebra substrate.
 
-Thin, contract-enforcing wrappers around numpy/scipy plus the two block
-structure matrices used throughout the package.  Everything here is a pure
-function of its ndarray inputs and safe to call concurrently.
+Thin, contract-enforcing wrappers around numpy/scipy, the two block
+structure matrices used throughout the package, and the two Krylov
+iterations (a power-iteration norm and Lanczos extremes) that stand in for
+dense SVD and eigenvalue calls on large matrices.  Everything here is a
+pure function of its inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,6 +26,8 @@ __all__ = [
     "symplectic_j",
     "frob",
     "spectral_norm",
+    "operator_norm",
+    "lanczos_extremes",
 ]
 
 # Reciprocal 2-norm condition number below which a solve is refused.
@@ -29,6 +35,9 @@ RCOND_MIN = 1e-12
 
 # Residual bound enforced by solve(), relative to the right-hand side.
 SOLVE_RESIDUAL = 1e-10
+
+# Krylov dimension after which lanczos_extremes gives up.
+LANCZOS_MAX_DIM = 300
 
 
 class DimensionError(ValueError):
@@ -132,28 +141,31 @@ def symplectic_j(n: int) -> np.ndarray:
     return j
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value, by power iteration on a^H a.
-
-    At most 200 steps, stopping once the estimate moves by at most 1e-9
-    relative.  Deterministic (fixed, slightly skewed start vector) so
-    repeated runs agree to the bit; a few hundred matvecs beat a full SVD
-    by orders of magnitude on the large discretized operators this gets
-    applied to.
-    """
-    a = as_matrix(a, "spectral_norm operand")
-    if a.size == 0:
-        return 0.0
-    cols = a.shape[1]
-    v = np.ones(cols, dtype=complex) + 1e-3j * np.arange(cols)
+def _start_vector(size: int) -> np.ndarray:
+    """Fixed, slightly skewed unit vector, so repeated runs agree to the bit."""
+    v = np.ones(size, dtype=complex) + 1e-3j * np.arange(size)
     v /= np.linalg.norm(v)
+    return v
+
+
+def operator_norm(forward: Callable[[np.ndarray], np.ndarray],
+                  adjoint: Callable[[np.ndarray], np.ndarray],
+                  size: int) -> float:
+    """Largest singular value of a linear map on C^size, given by matvecs.
+
+    Power iteration on adjoint(forward(v)): at most 200 steps, stopping
+    once the estimate moves by at most 1e-9 relative.  ``adjoint`` applies
+    the conjugate transpose of ``forward``.  A map that sends an iterate to
+    exactly zero has norm 0 returned as such, never divided by.
+    """
+    v = _start_vector(size)
     estimate = 0.0
     for _ in range(200):
-        w = a @ v
+        w = forward(v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
-        v_next = a.conj().T @ w
+        v_next = adjoint(w)
         norm_next = np.linalg.norm(v_next)
         previous, estimate = estimate, float(norm_w)
         if norm_next == 0.0:
@@ -162,3 +174,53 @@ def spectral_norm(a) -> float:
         if abs(estimate - previous) <= 1e-9 * estimate:
             break
     return estimate
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value of a dense matrix, by :func:`operator_norm`.
+
+    Deterministic (fixed start vector) so repeated runs agree to the bit; a
+    few hundred matvecs beat a full SVD by orders of magnitude on the large
+    discretized operators this gets applied to.
+    """
+    a = as_matrix(a, "spectral_norm operand")
+    if a.size == 0:
+        return 0.0
+    return operator_norm(lambda v: a @ v, lambda w: a.conj().T @ w,
+                         a.shape[1])
+
+
+def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
+    """Extreme Ritz values (theta_min, theta_max) of a Hermitian matrix.
+
+    Lanczos with full reorthogonalization from the start vector of
+    :func:`spectral_norm`, stopping once the residual bound |beta_k y_k| of
+    both extreme Ritz values is at most 1e-12 max(1, |theta|).  Returns None
+    when that does not happen within LANCZOS_MAX_DIM steps.  Ritz values
+    interlace, theta_min >= lambda_min and theta_max <= lambda_max, and a
+    converged one lies within its bound of some eigenvalue; but a Krylov
+    space that misses the extreme eigenvectors converges to inner
+    eigenvalues, so a caller that needs the true minimum must certify it.
+    """
+    size = h.shape[0]
+    steps = min(LANCZOS_MAX_DIM, size)
+    basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    ends = [0, -1]
+    q = _start_vector(size)
+    for k in range(steps):
+        basis[k] = q
+        active = basis[:k + 1]
+        w = h @ q
+        coef = active.conj() @ w
+        alpha[k] = coef[k].real
+        w -= coef @ active
+        w -= (active.conj() @ w) @ active  # second pass: twice is enough
+        beta[k] = np.linalg.norm(w)
+        theta, vecs = sla.eigh_tridiagonal(alpha[:k + 1], beta[:k])
+        bound = beta[k] * np.abs(vecs[-1, ends])
+        if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
+            return float(theta[0]), float(theta[-1])
+        q = w / beta[k]
+    return None

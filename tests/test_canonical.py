@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dkinv import canonical
+from dkinv import canonical, inversion
 from dkinv.canonical import (
     DefectiveEigenvalueError,
     HamiltonianGrid,
@@ -280,6 +280,52 @@ class TestRecoveryCorrection:
         implied = (base - quad)[:, :1] / 1j
         got = recovery_correction(kern)
         assert np.abs(got - implied).max() <= 1e-8
+
+
+def _correction_rebuilding_inverses(kernel):
+    """recovery_correction with U(d_s x)^{-1} rebuilt for every row.
+
+    The formula as first written: fund.inverse(y) evaluates U(y) afresh,
+    including at y = d_1 x, where U is the cached corner U(a).
+    """
+    r = kernel.realization
+    fund, proj = kernel.fund, kernel.p_cross
+    x, n, d = r.length, r.n, r.diag.d
+    embed = np.vstack([np.eye(n), np.zeros((n, n))])
+    corner_inv = fund.inverse(d[0] * x)
+    right_factor = np.linalg.solve(r.beta.conj().T, r.theta1)
+    out = np.empty((r.p, r.p), dtype=complex)
+    for s in range(r.p):
+        y = d[s] * x
+        middle = proj @ corner_inv - fund.inverse(y) + np.eye(2 * n) - proj
+        direct = r.theta2.conj().T[s, :] @ canonical.mat_exp(
+            1j * y * r.beta.conj().T)
+        bracket = fund.adj_row[s, :] @ fund.propagated(y) @ middle @ embed
+        out[s, :] = (direct + bracket) @ right_factor
+    return out
+
+
+class TestRecoveryCorrectionReuse:
+    # Case 9 has d = (2, 1.5, 1), case 7 has d = (2.5, 2.5, 1).
+    @pytest.mark.parametrize("case", [8, 6])
+    def test_corner_inverse_built_once(self, case, monkeypatch):
+        seed, p, n, d, scale = ACCEPTANCE_CASES[case]
+        r = random_realization(seed, p, n, d, 1.0, scale)
+        x = 0.8
+        kern = inverse_kernel_for_interval(r, x)
+        want = _correction_rebuilding_inverses(kern)
+        gamma = hamiltonian_factor(r, x)
+        calls = []
+        for module in (canonical, inversion):
+            monkeypatch.setattr(
+                module, "mat_exp",
+                lambda m, _exp=module.mat_exp: calls.append(1) or _exp(m))
+        got = recovery_correction(kern)
+        # One exponential for the direct term and one for the propagated U
+        # per row; U(d_s x) for d_s < d_1 sits at a cached segment start,
+        # and the corner inverse reuses the cached U(a).
+        assert len(calls) == 2 * p
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(gamma).max())
 
 
 class TestHamiltonianFactor:

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, commands, exit codes."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -360,6 +361,41 @@ class TestVerify:
         assert cli.main(["verify", "--config", scalar_cfg, "--level", "full",
                          "--report", str(tmp_path / "r.json")]) == 0
         assert calls == {"discretize_operator": 1, "profile_samples": 1}
+
+    def test_full_level_forms_no_dense_spectrum_or_product(
+            self, seed10_cfg, seed10, tmp_path, monkeypatch):
+        # S_N and T_N come back as arrays that log every product of two
+        # (pN) x (pN) matrices; positivity must be certified without a
+        # dense eigvalsh.
+        size = seed10.p * 400
+        products = []
+
+        class Watched(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None,
+                                **kwargs):
+                args = [np.asarray(a) for a in inputs]
+                if ufunc is np.matmul and all(
+                        a.shape == (size, size) for a in args):
+                    products.append(ufunc)
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(o) for o in out)
+                return getattr(ufunc, method)(*args, **kwargs)
+
+        def watched(build):
+            def wrapper(*args, **kwargs):
+                op = build(*args, **kwargs)
+                return dataclasses.replace(op, matrix=op.matrix.view(Watched))
+            return wrapper
+
+        for name in ("discretize_operator", "discretize_inverse"):
+            monkeypatch.setattr(discretization, name,
+                                watched(getattr(discretization, name)))
+        spectra = []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kwargs: spectra.append(a.shape))
+        assert cli.main(["verify", "--config", seed10_cfg, "--level", "full",
+                         "--report", str(tmp_path / "r.json")]) == 0
+        assert products == [] and spectra == []
 
     def test_unknown_level_is_usage_error(self, scalar_cfg, tmp_path):
         # argparse rejects the choice; the tool maps usage errors to 1.

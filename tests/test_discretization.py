@@ -1,10 +1,13 @@
 """Midpoint discretization, positivity, and the independent ODE checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from dkinv import discretization, inversion
+from dkinv import discretization, inversion, linalg
 from dkinv.discretization import (
+    composition_residual,
     discrete_matrizant,
     discretize_inverse,
     discretize_operator,
@@ -14,6 +17,7 @@ from dkinv.discretization import (
 from dkinv.inversion import FundamentalSolution, InverseKernel
 
 from conftest import (
+    ACCEPTANCE_CASES,
     random_realization,
     scalar_realization,
     singular_scalar_realization,
@@ -26,6 +30,18 @@ from oracles import (
     node_gram,
     volterra_matrix,
 )
+
+
+def _named_case(name, request):
+    """A fixture by name, or "bench_shape": acceptance case 9 (p = 3, n = 4)."""
+    if name == "bench_shape":
+        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+        return random_realization(seed, p, n, d, 1.0, scale)
+    return request.getfixturevalue(name)
+
+
+def _refuse_eigvalsh(*args, **kwargs):
+    raise AssertionError("dense eigvalsh called")
 
 
 def _nested_where_operator(r, count):
@@ -113,6 +129,29 @@ class TestComposition:
                 t_op.matrix @ s_op.matrix - np.eye(s_op.size), 2)
             assert gap <= 1e-12
 
+    @pytest.mark.parametrize("name", ["seed10", "bench_shape"])
+    def test_residual_matches_dense_product(self, name, request):
+        r = _named_case(name, request)
+        count = 100
+        s_op = discretize_operator(r, count)
+        kern = InverseKernel.from_realization(r)
+        dense = linalg.spectral_norm(discretize_inverse(kern, count).matrix
+                                     @ s_op.matrix - np.eye(s_op.size))
+        got = composition_residual(kern, s_op)
+        assert abs(got - dense) <= 1e-12 * dense
+
+    def test_exact_composition_reads_zero(self, zero_data, scalar):
+        # zero_data has T_N = S_N = I, so the first iterate maps to exactly
+        # zero; the scalar problem composes exactly up to roundoff.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert composition_residual(
+                InverseKernel.from_realization(zero_data),
+                discretize_operator(zero_data, 32)) == 0.0
+            assert composition_residual(
+                InverseKernel.from_realization(scalar),
+                discretize_operator(scalar, 200)) <= 1e-14
+
     def test_matrix_case_composes_to_identity(self, seed10):
         kern = InverseKernel.from_realization(seed10)
         res = {}
@@ -147,6 +186,61 @@ class TestPositivity:
         low, _ = positivity_spectrum(
             discretize_operator(singular_scalar_realization(), 200))
         assert abs(low) <= 1e-10
+
+    @pytest.mark.parametrize("name",
+                             ["scalar", "seed10", "zero_data", "bench_shape"])
+    def test_lanczos_matches_eigvalsh(self, name, request, monkeypatch):
+        op = discretize_operator(_named_case(name, request), 200)
+        evals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
+        # The certified Lanczos path answers without a dense spectrum.
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        got = positivity_spectrum(op)
+        for value, want in zip(got, (evals[0], evals[-1])):
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_certificate_catches_eigenvector_missed_by_lanczos(
+            self, monkeypatch):
+        # The lowest eigenvector u is orthogonal to the Lanczos start vector
+        # and H maps the complement of u into itself, so the Krylov space
+        # never sees the eigenvalue 0.5 and Lanczos converges to 1.0.  The
+        # complement holds only two eigenvalues, so Lanczos stops after two
+        # steps, before rounding can grow a component along u.
+        size = 60
+        start = linalg._start_vector(size)
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((size, size)) \
+            + 1j * rng.standard_normal((size, size))
+        cols[:, 0] -= np.vdot(start, cols[:, 0]) * start
+        basis, _ = np.linalg.qr(cols)
+        spectrum = np.concatenate([[0.5], np.ones(size - 2), [3.0]])
+        herm = (basis * spectrum) @ basis.conj().T
+        herm = 0.5 * (herm + herm.conj().T)
+        assert linalg.lanczos_extremes(herm)[0] == pytest.approx(1.0, abs=1e-9)
+        assert not discretization._bounded_below(herm, 1.0 - 1e-10)
+        calls = []
+        dense = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or dense(a))
+        op = discretization.DiscreteOperator(
+            nodes=np.arange(size) + 0.5, weight=1.0, matrix=herm,
+            components=1)
+        low, high = positivity_spectrum(op)
+        assert calls == [(size, size)]
+        assert low == pytest.approx(0.5, abs=1e-12)
+        assert high == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["unconverged", "singular"])
+    def test_fallbacks_return_dense_values(self, case, seed10, monkeypatch):
+        # Lanczos stopped by its step cap, and a minimum below the
+        # certificate's margin (the singular scalar scaling): both answer
+        # with eigvalsh itself, bit for bit.
+        if case == "unconverged":
+            monkeypatch.setattr(linalg, "LANCZOS_MAX_DIM", 2)
+            op = discretize_operator(seed10, 100)
+        else:
+            op = discretize_operator(singular_scalar_realization(), 200)
+        evals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
+        assert positivity_spectrum(op) == (evals[0], evals[-1])
 
     def test_rejects_non_hermitian(self):
         op = discretization.DiscreteOperator(
@@ -288,6 +382,21 @@ class TestProfileSamples:
                 want = np.zeros(p)
                 want[i] = 1.0
                 assert np.allclose(row[p:], want, atol=0)
+
+    @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape"])
+    def test_matches_per_point_edge_profile(self, name, request):
+        # Reference: one edge_profile call per node, as profile_samples
+        # was first written, against the single stacked exponential.
+        r = _named_case(name, request)
+        xs = np.linspace(0.0, r.length, 41)
+        want = np.zeros((r.p * xs.size, 2 * r.p), dtype=complex)
+        for a, x in enumerate(xs):
+            prof = r.edge_profile(float(x))
+            for i in range(r.p):
+                want[i * xs.size + a, :r.p] = prof[i, :]
+                want[i * xs.size + a, r.p + i] = 1.0
+        got = profile_samples(r, xs)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_left_block_matches_edge_profile(self, seed10):
         xs = np.array([0.35])

@@ -80,10 +80,10 @@ class TestFundamentalSolution:
         # [1.0, 1.7]; breakpoints belong to the segment on their right.
         r = random_realization(10, 2, 2, [1.7, 1.0], scale=0.6)
         f = FundamentalSolution(r)
-        assert f.segment_level(0.0) == 3
-        assert f.segment_level(0.99) == 3
-        assert f.segment_level(1.0) == 2
-        assert f.segment_level(1.7) == 2
+        assert f._locate(0.0)[0].level == 3
+        assert f._locate(0.99)[0].level == 3
+        assert f._locate(1.0)[0].level == 2
+        assert f._locate(1.7)[0].level == 2
 
     def test_continuity_across_breakpoints(self):
         # The generator switches at d-breakpoints, but U itself must be
