@@ -221,7 +221,7 @@ def apply_triangular_adjoint(
     n, p, d, x = r.n, r.p, r.diag.d, r.length
     two_n = 2 * n
     fund = kernel.fund
-    rows = np.vstack([fund.left_row(i, x) for i in range(p)])
+    rows = fund.left_rows([x])
     rows_upper = rows @ kernel.upper_factor
     rows_lower = -(rows @ kernel.p_cross)
 

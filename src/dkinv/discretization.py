@@ -24,8 +24,8 @@ from .inversion import InverseKernel
 from .kernels import Realization
 # spectral_norm is read as discretization.spectral_norm by the benchmark's
 # composition check.
-from .linalg import (exchange_j, frob, lanczos_extremes, operator_norm,
-                     spectral_norm)
+from .linalg import (exchange_j, exp_samples, frob, lanczos_extremes,
+                     operator_norm, spectral_norm)
 
 __all__ = [
     "DiscreteOperator",
@@ -103,8 +103,9 @@ def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
     r = kernel.realization
     xs, h = _midpoint_nodes(r.length, count)
     tol = 1e-13 * r.diag.d[0] * max(r.length, 1.0)
-    block = kernel.block_values(xs, xs, line_tol=tol)
-    matrix = np.eye(r.p * count, dtype=complex) + h * block
+    matrix = kernel.block_values(xs, xs, line_tol=tol)
+    matrix *= h
+    matrix[np.diag_indices(r.p * count)] += 1.0
     return DiscreteOperator(nodes=xs, weight=h, matrix=matrix,
                             components=r.p)
 
@@ -144,23 +145,25 @@ def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:
     """Extreme eigenvalues of the (Hermitian) discretized operator.
 
     Refuses matrices whose anti-Hermitian part exceeds discretization dust;
-    the remaining symmetrization only removes rounding noise.  The extremes
-    come from Lanczos (:func:`lanczos_extremes`).  The minimum theta is
-    certified by a Cholesky factor of H - (theta - delta) I with delta =
+    the remaining symmetrization only removes rounding noise, and is
+    skipped when the matrix is exactly Hermitian, as the S_N of
+    :func:`discretize_operator` is.  The extremes come from Lanczos
+    (:func:`lanczos_extremes`).  The minimum theta is certified by a Cholesky factor of H - (theta - delta) I with delta =
     1e-10 max(1, |theta|), so the true minimum lies in [theta - delta,
     theta]; the maximum is a Ritz value, a lower bound on the true maximum.
     A dense ``eigvalsh`` answers instead when Lanczos does not converge, the
     certificate fails, or theta <= delta: near a singular or indefinite
     operator the sign of the minimum is rounding noise.
     """
-    m = op.matrix
-    skew = frob(m - m.conj().T)
-    if skew > 1e-8 * (1.0 + frob(m)):
-        raise ValueError(
-            f"matrix is not Hermitian (skew part {skew:.3e}); "
-            "positivity is undefined"
-        )
-    herm = 0.5 * (m + m.conj().T)
+    herm = op.matrix
+    if not np.array_equal(herm, herm.conj().T):
+        skew = frob(herm - herm.conj().T)
+        if skew > 1e-8 * (1.0 + frob(herm)):
+            raise ValueError(
+                f"matrix is not Hermitian (skew part {skew:.3e}); "
+                "positivity is undefined"
+            )
+        herm = 0.5 * (herm + herm.conj().T)
     ritz = lanczos_extremes(herm)
     if ritz is not None:
         low, high = ritz
@@ -179,16 +182,15 @@ def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
     operator identity and the transfer function below.  Phi1 is the edge
     profile of :meth:`Realization.edge_profile`, row i being (d_i/2) e_i +
     theta2[:, i]^H Psi(d_i x) theta1 with Psi(u) = int_0^u e^{iw beta^H} dw,
-    read off one stacked exponential of ``r.primitive_generator`` * u over
-    all p*N points u = d_i x_a.
+    read off :func:`exp_samples` of ``r.primitive_generator`` at all p*N
+    points u = d_i x_a.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.min() < 0 or xs.max() > r.length * (1 + 1e-12):
         raise ValueError(f"profile points outside [0, {r.length}]")
     count = xs.size
     n, p, d = r.n, r.p, r.diag.d
-    psi = _batch_expm(np.kron(d, xs)[:, None, None]
-                      * r.primitive_generator)[:, :n, n:]
+    psi = exp_samples(r.primitive_generator, np.kron(d, xs))[:, :n, n:]
     comp = np.repeat(np.arange(p), count)
     rows = np.arange(p * count)
     out = np.zeros((p * count, 2 * p), dtype=complex)
@@ -211,8 +213,8 @@ def discrete_matrizant(r: Realization, op: DiscreteOperator,
     W_N = I + i*lambda*h * J Pi^H S^{-1} (I - lambda A)^{-1} Pi, the exact
     matrizant of the discretized problem; it converges to the canonical
     system's matrizant at the right endpoint as the grid refines.  ``op`` is
-    the Nystrom matrix S of ``r``; Pi is sampled and S is LU-factored once
-    for all lambdas.  A = i*D (x) tri is block-diagonal in the
+    the Nystrom matrix S of ``r``.  Pi^H S^{-1} = (S^{-H} Pi)^H is one LU
+    solve for all lambdas.  A = i*D (x) tri is block-diagonal in the
     component-major layout, so I - lambda A is solved one lower-triangular
     block I - i*lambda*d_i*tri at a time.  Returns shape (len(lams), 2p, 2p).
     """
@@ -222,7 +224,8 @@ def discrete_matrizant(r: Realization, op: DiscreteOperator,
     factor = lu_factor(op.matrix)
     if not np.all(np.diag(factor[0])):
         raise np.linalg.LinAlgError("Nystrom matrix is exactly singular")
-    j_pi = exchange_j(r.p) @ pi.conj().T
+    # J Pi^H S^{-1}, from the conjugate-transposed solve S^H X = Pi.
+    j_pi_s = exchange_j(r.p) @ lu_solve(factor, pi, trans=2).conj().T
     out = np.empty((len(lams), 2 * r.p, 2 * r.p), dtype=complex)
     resolvent = np.empty_like(pi)
     for k, lam in enumerate(lams):
@@ -231,5 +234,5 @@ def discrete_matrizant(r: Realization, op: DiscreteOperator,
             resolvent[rows] = solve_triangular(
                 np.eye(count) - 1j * lam * d_i * tri, pi[rows], lower=True)
         out[k] = np.eye(2 * r.p) \
-            + 1j * lam * op.weight * (j_pi @ lu_solve(factor, resolvent))
+            + 1j * lam * op.weight * (j_pi_s @ resolvent)
     return out

@@ -1,6 +1,7 @@
 """Dense complex linear-algebra substrate.
 
-Thin, contract-enforcing wrappers around numpy/scipy, the two block
+Thin, contract-enforcing wrappers around numpy/scipy, the batched matrix
+exponential of one generator at many times, the two block
 structure matrices used throughout the package, and the two Krylov
 iterations (a power-iteration norm and Lanczos extremes) that stand in for
 dense SVD and eigenvalue calls on large matrices.  Everything here is a
@@ -20,6 +21,7 @@ __all__ = [
     "RCOND_MIN",
     "as_matrix",
     "mat_exp",
+    "exp_samples",
     "eig_spectrum",
     "solve",
     "exchange_j",
@@ -38,6 +40,10 @@ SOLVE_RESIDUAL = 1e-10
 
 # Krylov dimension after which lanczos_extremes gives up.
 LANCZOS_MAX_DIM = 300
+
+# Taylor degree of exp_samples: the smallest K whose truncation bound at
+# |t| ||m||_1 <= 1/2, (1/2)^(K+1) / (K+1)! * e^(1/2), is below 2^-53.
+TAYLOR_DEGREE = 14
 
 
 class DimensionError(ValueError):
@@ -80,6 +86,42 @@ def mat_exp(m) -> np.ndarray:
     Exact to roundoff for nilpotent input, where the series terminates.
     """
     return sla.expm(_square(m, "mat_exp operand"))
+
+
+def exp_samples(m, s) -> np.ndarray:
+    """e^{s_k m} for one square m and many real s_k, shape (len(s), n, n).
+
+    One generator at many times is the setting of Al-Mohy and Higham,
+    "Computing the action of the matrix exponential" (SIAM J. Sci. Comput.
+    33(2), 2011).  Anchors c sit on the grid of spacing 1/||m||_1 nearest
+    each s_k, and each sample is e^{cm} times the degree-TAYLOR_DEGREE
+    Taylor polynomial of e^{tm} at t = s_k - c, where |t| ||m||_1 <= 1/2.
+    Only the anchors go through the Pade ``expm``; the polynomials of all
+    samples are one matrix product.  The TAYLOR_DEGREE products that build
+    the polynomial pay off only when they save at least as many Pade
+    evaluations, so with fewer samples than anchors plus TAYLOR_DEGREE
+    every sample is its own anchor.
+    """
+    m = _square(m, "exp_samples operand")
+    s = np.asarray(s, dtype=float).reshape(-1)
+    if s.size <= TAYLOR_DEGREE:  # too few to save TAYLOR_DEGREE anchors
+        return sla.expm(s[:, None, None] * m)
+    scale = np.linalg.norm(m, 1) or 1.0  # any spacing serves m = 0
+    ticks = np.rint(s * scale)
+    first = ticks.min()
+    count = int(ticks.max() - first) + 1
+    if s.size - count < TAYLOR_DEGREE:
+        return sla.expm(s[:, None, None] * m)
+    anchors = sla.expm(((first + np.arange(count)) / scale)[:, None, None] * m)
+    # (m / ||m||_1)^k / k! against (t ||m||_1)^k, |t| ||m||_1 <= 1/2.
+    size, unit = m.shape[0], m / scale
+    powers = np.empty((TAYLOR_DEGREE + 1, size, size), dtype=complex)
+    powers[0] = np.eye(size)
+    for k in range(1, TAYLOR_DEGREE + 1):
+        np.matmul(powers[k - 1], unit / k, out=powers[k])
+    taylor = np.vander(s * scale - ticks, TAYLOR_DEGREE + 1, increasing=True) \
+        @ powers.reshape(TAYLOR_DEGREE + 1, -1)
+    return anchors[(ticks - first).astype(int)] @ taylor.reshape(-1, size, size)
 
 
 def eig_spectrum(m) -> np.ndarray:

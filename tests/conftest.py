@@ -158,6 +158,32 @@ def write_config(tmp_path, cfg: dict, name="problem.json") -> str:
 # Fixtures
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def expm_slices(monkeypatch):
+    """Counts the matrices dkinv.linalg hands to scipy's Pade ``expm``.
+
+    A stacked call counts one per slice; the returned list holds the
+    running total as its only element.
+    """
+    from dkinv import linalg
+    pade = linalg.sla.expm
+    count = [0]
+
+    def counting(a):
+        a = np.asarray(a)
+        count[0] += a.shape[0] if a.ndim == 3 else 1
+        return pade(a)
+
+    monkeypatch.setattr(linalg.sla, "expm", counting)
+    return count
+
+
+def bench_shape_realization():
+    """Acceptance case 9: p = 3, n = 4, d = (2, 1.5, 1), the benchmark's shape."""
+    seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+    return random_realization(seed, p, n, d, 1.0, scale)
+
+
 @pytest.fixture(scope="session")
 def scalar():
     return scalar_realization()

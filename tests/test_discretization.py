@@ -1,9 +1,11 @@
 """Midpoint discretization, positivity, and the independent ODE checks."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from dkinv import discretization, inversion, linalg
 from dkinv.discretization import (
@@ -17,7 +19,7 @@ from dkinv.discretization import (
 from dkinv.inversion import FundamentalSolution, InverseKernel
 
 from conftest import (
-    ACCEPTANCE_CASES,
+    bench_shape_realization,
     random_realization,
     scalar_realization,
     singular_scalar_realization,
@@ -35,8 +37,7 @@ from oracles import (
 def _named_case(name, request):
     """A fixture by name, or "bench_shape": acceptance case 9 (p = 3, n = 4)."""
     if name == "bench_shape":
-        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
-        return random_realization(seed, p, n, d, 1.0, scale)
+        return bench_shape_realization()
     return request.getfixturevalue(name)
 
 
@@ -114,6 +115,46 @@ class TestDiscretizeOperator:
     def test_minimum_node_count(self, scalar):
         with pytest.raises(ValueError):
             discretize_operator(scalar, 7)
+
+
+def _traced_peak(fn):
+    """(result, peak bytes traced while fn runs)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDiscretizeInverse:
+    def test_samples_through_few_exponentials(self, expm_slices):
+        # 2 * 3 * 400 row and column factors; per segment a few anchors,
+        # not one Pade exponential per factor (2,460 calls before).
+        kern = InverseKernel.from_realization(bench_shape_realization())
+        before = expm_slices[0]
+        discretize_inverse(kern, 400)
+        assert expm_slices[0] - before <= 100
+
+    def test_builds_in_place(self):
+        # The output T_N is 1200 x 1200 complex (23 MB).  Besides it only
+        # the -P branch product is held; the old build also held the
+        # np.where result, the float branch-line mask and I + h*block
+        # (82 MB in all).
+        kern = InverseKernel.from_realization(bench_shape_realization())
+        op, peak = _traced_peak(lambda: discretize_inverse(kern, 400))
+        assert peak <= 2.5 * op.matrix.nbytes
+
+    @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape"])
+    def test_matches_identity_plus_scaled_block(self, name, request):
+        r = _named_case(name, request)
+        kern = InverseKernel.from_realization(r)
+        count = 24
+        xs, h = discretization._midpoint_nodes(r.length, count)
+        tol = 1e-13 * r.diag.d[0] * max(r.length, 1.0)
+        want = np.eye(r.p * count) + h * kern.block_values(xs, xs,
+                                                           line_tol=tol)
+        assert np.array_equal(discretize_inverse(kern, count).matrix, want)
 
 
 class TestComposition:
@@ -242,6 +283,40 @@ class TestPositivity:
         evals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
         assert positivity_spectrum(op) == (evals[0], evals[-1])
 
+    @pytest.mark.parametrize("name", ["scalar", "seed10", "zero_data",
+                                      "bench_shape", "repeated"])
+    def test_nystrom_matrix_is_exactly_hermitian(self, name, request):
+        # The case positivity_spectrum takes without symmetrizing; d = (2,
+        # 1, 1) adds the averaged exact collisions off the diagonal.
+        r = random_realization(4, 3, 2, (2.0, 1.0, 1.0)) \
+            if name == "repeated" else _named_case(name, request)
+        m = discretize_operator(r, 64).matrix
+        assert np.array_equal(m, m.conj().T)
+
+    def test_hermitian_input_is_not_copied(self):
+        op = discretize_operator(bench_shape_realization(), 200)
+        _, peak = _traced_peak(lambda: positivity_spectrum(op))
+        # One conjugate for the equality test; the skew part and the
+        # symmetrized copy (two more full matrices) are not formed.
+        assert peak <= 1.5 * op.matrix.nbytes
+
+    def test_near_hermitian_input_is_symmetrized(self, seed10):
+        # A 1e-12 anti-Hermitian part is below the refusal threshold; the
+        # answer is that of the symmetrized matrix, as before the shortcut.
+        op = discretize_operator(seed10, 64)
+        rng = np.random.default_rng(8)
+        skew = rng.standard_normal(op.matrix.shape) * 1e-12
+        m = op.matrix + 1j * (skew + skew.T)
+        assert not np.array_equal(m, m.conj().T)
+
+        def with_matrix(matrix):
+            return discretization.DiscreteOperator(
+                nodes=op.nodes, weight=op.weight, matrix=matrix,
+                components=op.components)
+
+        assert positivity_spectrum(with_matrix(m)) \
+            == positivity_spectrum(with_matrix(0.5 * (m + m.conj().T)))
+
     def test_rejects_non_hermitian(self):
         op = discretization.DiscreteOperator(
             nodes=np.array([0.5]), weight=1.0,
@@ -349,6 +424,28 @@ class TestDiscreteMatrizant:
             want = np.eye(2 * r.p) + 1j * lam * op.weight * (
                 exchange_j(r.p) @ pi.conj().T @ weighted)
             assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape"])
+    def test_matches_per_lambda_lu_solve(self, name, request):
+        # Reference: the earlier evaluation with one LU solve of S per
+        # lambda, Pi^H S^{-1} R, against the one solve (S^{-H} Pi)^H R.
+        from dkinv.linalg import exchange_j
+        r = _named_case(name, request)
+        count = 64
+        op = discretize_operator(r, count)
+        lams = [0.0, 0.3 + 0.6j, -0.9 + 0.7j, 2.0]
+        pi = profile_samples(r, op.nodes)
+        tri = discretization._midpoint_integrator(count, op.weight)
+        factor = lu_factor(op.matrix)
+        got = discrete_matrizant(r, op, lams)
+        for lam, w in zip(lams, got):
+            resolvent = np.vstack([
+                solve_triangular(np.eye(count) - 1j * lam * d_i * tri,
+                                 pi[i * count:(i + 1) * count], lower=True)
+                for i, d_i in enumerate(r.diag.d)])
+            want = np.eye(2 * r.p) + 1j * lam * op.weight * (
+                exchange_j(r.p) @ pi.conj().T @ lu_solve(factor, resolvent))
+            assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestNodeGram:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from dkinv import inversion
+from dkinv import inversion, linalg
 from dkinv.inversion import (
     FundamentalSolution,
     InverseKernel,
@@ -14,6 +14,7 @@ from dkinv.inversion import (
 )
 
 from conftest import (
+    bench_shape_realization,
     random_realization,
     scalar_realization,
     singular_scalar_realization,
@@ -96,6 +97,96 @@ class TestFundamentalSolution:
             assert gap <= 1e-6
 
 
+def _four_exponential_segments(f):
+    """Segment caches and corner rebuilt with four exponentials per segment.
+
+    This is the original construction: e^{-L A} and e^{L A} are computed
+    afresh for every segment, including L = 0, instead of reusing the
+    chain's e^{-next A}.
+    """
+    gen = f.generator
+    u_left = np.eye(f.state_dim, dtype=complex)
+    out = []
+    for seg in f.segments:
+        exp_pos = linalg.mat_exp(seg.left * gen)
+        exp_neg = linalg.mat_exp(-seg.left * gen)
+        right_cache = exp_pos @ u_left
+        out.append((exp_neg, u_left, right_cache,
+                    f._invert(u_left) @ exp_neg))
+        u_left = linalg.mat_exp(-seg.right * gen) \
+            @ linalg.mat_exp((seg.right - seg.left) * seg.gen_cross) \
+            @ right_cache
+    return out, u_left
+
+
+class TestSegmentCaches:
+    @pytest.mark.parametrize("shape", ["bench_shape", "seed10", "scalar"])
+    def test_chain_reuses_exponentials(self, shape, request, monkeypatch):
+        r = bench_shape_realization() if shape == "bench_shape" \
+            else request.getfixturevalue(shape)
+        calls = []
+        pade = linalg.mat_exp
+        monkeypatch.setattr(inversion, "mat_exp",
+                            lambda m: calls.append(1) or pade(m))
+        f = FundamentalSolution(r)
+        k = len(f.segments)
+        # Two per chain step, one e^{L A} per inner breakpoint (12 -> 8 on
+        # the benchmark shape, where k = 3).
+        assert len(calls) == 3 * k - 1
+        want, corner = _four_exponential_segments(f)
+        for seg, (exp_neg, u_left, right_cache, left_cache) in \
+                zip(f.segments, want):
+            assert np.array_equal(seg.exp_left_neg, exp_neg)
+            assert np.array_equal(seg.u_left, u_left)
+            assert np.array_equal(seg.right_cache, right_cache)
+            assert np.array_equal(seg.left_cache, left_cache)
+        assert np.array_equal(f.corner(), corner)
+
+
+class TestBatchedFactors:
+    @pytest.mark.parametrize("shape", ["scalar", "seed10", "bench_shape",
+                                       "repeated"])
+    def test_match_docstring_formulas(self, shape, request):
+        # left_row: e_i [theta2^H, theta1^H] e^{yA} U(y) at y = d_i x;
+        # right_col: U(z)^{-1} e^{-zA} [-theta1; theta2] e_j at z = d_j t.
+        if shape == "bench_shape":
+            r = bench_shape_realization()
+        elif shape == "repeated":
+            r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
+        else:
+            r = request.getfixturevalue(shape)
+        f = FundamentalSolution(r)
+        xs = np.concatenate([np.linspace(0.0, r.length, 41), [0.5 / 3]])
+        rows, cols = f.left_rows(xs), f.right_cols(xs)
+        assert rows.shape == (r.p * xs.size, f.state_dim)
+        assert cols.shape == (f.state_dim, r.p * xs.size)
+        for i in range(r.p):
+            for a, x in enumerate(xs):
+                y = r.diag.d[i] * x
+                prop = f.propagated(y)
+                back = f.inverse(y) @ linalg.mat_exp(-y * f.generator)
+                row_scale = np.linalg.norm(f.adj_row[i]) * np.linalg.norm(prop)
+                col_scale = np.linalg.norm(back) * np.linalg.norm(f.stack[:, i])
+                for got in (rows[i * xs.size + a], f.left_row(i, x)):
+                    assert np.linalg.norm(got - f.adj_row[i] @ prop) \
+                        <= 1e-13 * row_scale
+                for got in (cols[:, i * xs.size + a], f.right_col(i, x)):
+                    assert np.linalg.norm(got - back @ f.stack[:, i]) \
+                        <= 1e-13 * col_scale
+
+    def test_points_outside_the_interval_are_refused(self, seed10):
+        f = FundamentalSolution(seed10)
+        for bad in (-1e-3, 1.001, np.nan):
+            with pytest.raises(ValueError):
+                f.left_rows([0.5, bad])
+            with pytest.raises(ValueError):
+                f.right_cols([bad])
+            with pytest.raises(ValueError):
+                f.left_row(0, bad)
+        assert f.left_rows([]).shape == (0, f.state_dim)
+        assert f.right_cols([]).shape == (f.state_dim, 0)
+
+
 class TestBranchProjector:
     def test_zero_data(self, zero_data):
         proj = inversion.branch_projector(FundamentalSolution(zero_data))
@@ -173,6 +264,29 @@ class TestInverseKernelStructure:
                         want = kern.entry(i, j, float(x), float(t))
                         assert block[i * len(xs) + a, j * len(ts) + b] == \
                             pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("line_tol", [0.0, 1e-13])
+    @pytest.mark.parametrize("shape", ["seed10", "repeated"])
+    def test_block_values_match_where_formula(self, shape, line_tol, request):
+        # Reference: point-by-point rows and columns and np.where over the
+        # two full branch products, as block_values was first written.  The
+        # repeated dilation d_2 = d_3 puts grid points exactly on branch
+        # lines, which take the upper branch.
+        r = random_realization(4, 3, 2, (2.0, 1.0, 1.0)) \
+            if shape == "repeated" else request.getfixturevalue(shape)
+        kern = InverseKernel.from_realization(r)
+        f, p, d = kern.fund, r.p, r.diag.d
+        xs = (np.arange(12) + 0.5) / 12
+        ts = np.concatenate([xs, [0.3, 1.0]])
+        rows = np.array([f.left_row(i, x) for i in range(p) for x in xs])
+        cols = np.array([f.right_col(j, t) for j in range(p) for t in ts]).T
+        upper = rows @ (kern.upper_factor @ cols)
+        lower = -(rows @ (kern.p_cross @ cols))
+        diff = np.repeat(d, xs.size)[:, None] * np.tile(xs, p)[:, None] \
+            - (np.repeat(d, ts.size) * np.tile(ts, p))[None, :]
+        want = np.where(diff >= -line_tol, upper, lower)
+        got = kern.block_values(xs, ts, line_tol=line_tol)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_branch_jump_equals_theta_commutator(self, seed10):
         # Across the line d_i x = d_j t the kernel entry jumps by the

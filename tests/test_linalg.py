@@ -1,10 +1,17 @@
 """Dense-matrix helpers: exponentials, spectra, guarded solves."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dkinv import linalg
+from dkinv.inversion import FundamentalSolution
 from dkinv.linalg import DimensionError, SingularMatrixError
+
+from conftest import bench_shape_realization, random_realization
 
 
 class TestMatExp:
@@ -35,6 +42,70 @@ class TestMatExp:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             linalg.mat_exp(np.zeros((2, 3)))
+
+
+def _segment_generators(r):
+    """(A + Y_j, segment length) for every segment of r's fundamental solution."""
+    return [(seg.gen_cross, seg.right - seg.left)
+            for seg in FundamentalSolution(r).segments]
+
+
+def _exp_samples_cases():
+    rng = np.random.default_rng(17)
+    upper = np.triu(rng.standard_normal((8, 8))
+                    + 1j * rng.standard_normal((8, 8)), 1)
+    skewed = np.diag(rng.standard_normal(8)) + 10.0 * upper  # non-normal
+    skewed *= 100.0 / np.linalg.norm(skewed, 1)
+    cases = [("random_8x8_norm100", skewed, np.linspace(-0.3, 0.5, 401)),
+             ("random_8x8_norm100-away_from_0", skewed,
+              np.linspace(0.2, 0.5, 301))]
+    l4 = random_realization(9, 3, 4, (2, 1.5, 1), 4.0, 0.6)
+    for name, r in (("bench_shape", bench_shape_realization()), ("l4", l4)):
+        for k, (gen, h) in enumerate(_segment_generators(r)):
+            times = np.linspace(0.0, h, 201)
+            cases.append((f"{name}-seg{k}", gen, times))
+            cases.append((f"{name}-seg{k}-negative", gen, -times))
+    return cases
+
+
+class TestExpSamples:
+    def test_taylor_degree_is_smallest_meeting_the_bound(self):
+        def bound(k):
+            return 0.5 ** (k + 1) / math.factorial(k + 1) * math.exp(0.5)
+        assert bound(linalg.TAYLOR_DEGREE) < 2.0 ** -53
+        assert bound(linalg.TAYLOR_DEGREE - 1) >= 2.0 ** -53
+
+    @pytest.mark.parametrize("m,times", [
+        pytest.param(m, times, id=name) for name, m, times in _exp_samples_cases()])
+    def test_matches_expm(self, m, times, expm_slices):
+        got = linalg.exp_samples(m, times)
+        # The polynomial path ran, with one anchor per grid point in range.
+        assert expm_slices[0] < times.size
+        assert expm_slices[0] <= np.ptp(times) * np.linalg.norm(m, 1) + 2
+        want = expm(times[:, None, None] * m)
+        assert got.shape == want.shape
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+    def test_zero_matrix_gives_identity(self):
+        got = linalg.exp_samples(np.zeros((3, 3)), np.linspace(-2, 2, 50))
+        assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
+
+    @pytest.mark.parametrize("times", [[], [0.7], [-0.7], [-1.3, 0.0, 0.4]])
+    def test_few_samples_are_their_own_anchors(self, times, expm_slices):
+        m = _segment_generators(bench_shape_realization())[0][0]
+        before = expm_slices[0]
+        got = linalg.exp_samples(m, times)
+        assert got.shape == (len(times), 8, 8)
+        assert expm_slices[0] - before == len(times)
+        for t, g in zip(times, got):
+            assert np.array_equal(g, expm(t * m))
+
+    def test_complex_times_are_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.exceptions.ComplexWarning):
+                linalg.exp_samples(np.eye(2), np.array([0.5 + 0.1j]))
 
 
 class TestEigSpectrum:
