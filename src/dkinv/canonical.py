@@ -27,9 +27,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.linalg import null_space
 
-from .inversion import InverseKernel
+from .inversion import (FundamentalSolution, InverseKernel,
+                        SingularCornerReport, branch_projectors)
 from .kernels import DiagonalStructure, Realization
-from .linalg import as_matrix, eig_spectrum, exchange_j, frob, mat_exp, solve
+from .linalg import (as_matrix, eig_spectrum, exchange_j, exp_samples, frob,
+                     mat_exp, solve)
 
 __all__ = [
     "DefectiveEigenvalueError",
@@ -203,63 +205,89 @@ def apply_triangular_adjoint(
     the constant matrix ``const`` with p rows; with ``profile`` its first p
     columns also carry the x-dependent part of the edge profile, row j
     being theta2[:, j]^H Psi(d_j t) theta1 with
-    Psi(u) = int_0^u e^{iw beta^H} dw.
-
-    No quadrature: in the dilated coordinate z = d_j t the segments of the
-    fundamental solution end exactly at the branch points d_i x, so on each
-    segment the branch of every row and the set of contributing columns are
-    fixed, and the integrand is a product of matrix exponentials.  Its
-    integral is read from one block exponential (Van Loan, IEEE TAC 23(3),
-    1978), as in :meth:`Realization.integrated_kernel`.
+    Psi(u) = int_0^u e^{iw beta^H} dw.  :func:`_factor_integrals` does the
+    integration, here for the one length of ``kernel``.
     """
     kernel._require_invertible()
     r = kernel.realization
     const = np.atleast_2d(np.asarray(const, dtype=complex))
     if const.shape[0] != r.p:
         raise ValueError(f"input must have {r.p} rows, got {const.shape}")
+    return _factor_integrals(kernel.fund, kernel.fund.segments,
+                             kernel.p_cross, const, profile)[0]
 
-    n, p, d, x = r.n, r.p, r.diag.d, r.length
+
+def _factor_integrals(fund: FundamentalSolution, segments: Sequence,
+                      proj: np.ndarray, const: np.ndarray,
+                      profile: bool) -> np.ndarray:
+    """:func:`apply_triangular_adjoint` for a batch of interval lengths.
+
+    ``segments`` and ``proj`` (the branch projectors) come from
+    :meth:`FundamentalSolution.chain` and :func:`branch_projectors` for
+    the lengths x; a single length's unstacked segments broadcast as a
+    batch of one.  Returns the (len(x), p, m) stack of results.
+
+    No quadrature: in the dilated coordinate z = d_j t the segments of the
+    fundamental solution end exactly at the branch points d_i x, so on each
+    segment the branch of every row and the set of contributing columns are
+    fixed, and the integrand is a product of matrix exponentials.  Its
+    integral is read from one block exponential (Van Loan, IEEE TAC 23(3),
+    1978), as in :meth:`Realization.integrated_kernel`.  That block's
+    generator does not depend on x: the constant input and Psi(L), which
+    do, multiply its result from the right, and so does
+    rot = e^{iL beta^H}, which commutes with every Psi(s).  So one
+    :func:`exp_samples` call per segment serves every length.
+    """
+    r = fund.realization
+    n, p, d = r.n, r.p, r.diag.d
     two_n = 2 * n
-    fund = kernel.fund
-    rows = fund.left_rows([x])
-    rows_upper = rows @ kernel.upper_factor
-    rows_lower = -(rows @ kernel.p_cross)
+    # On a segment column j contributes iff d_j x >= its right end, and row
+    # i takes the upper branch iff d_i x does: the mask of the segment's
+    # level projector.  A component whose last segment this is ends at
+    # z = d_i x, where its row factor e^{zA} U(z) is read off, and with the
+    # profile also Psi(d_i x), the x-dependent part of its f(x).
+    alive = [np.diagonal(seg.projector).real > 0 for seg in segments]
+    ends = [a & ~b for a, b in zip(alive, alive[1:] + [np.zeros(p, bool)])]
+    count = np.size(segments[0].left)
+    rows = np.empty((count, p, two_n), dtype=complex)
+    for seg, end in zip(segments, ends):
+        rows[:, end] = fund.adj_row[end] @ seg.exp_span @ seg.right_cache
+    rows_upper = rows @ (np.eye(two_n) - proj)
+    rows_lower = -(rows @ proj)
+    out = np.repeat(const[None], count, axis=0)
 
-    out = const.copy()
-    # Block generator [[G, B, 0, F], [0, i beta^H, I, 0], [0, 0, 0, 0],
-    # [0, 0, 0, 0]]; without the profile only [[G, F], [0, 0]] is needed.
+    # Block generator [[G, F theta2^H, 0, F], [0, i beta^H, I, 0], 0, 0]
+    # with F = [-theta1; theta2] D^{-1} on the contributing columns; without
+    # the profile only [[G, F], [0, 0]] is needed.
     lead = 4 * n if profile else two_n
-    gen = np.zeros((lead + const.shape[1],) * 2, dtype=complex)
     if profile:
-        out[:, :p] += r.edge_profile(x) - 0.5 * r.diag.matrix
-        gen[two_n:3 * n, two_n:3 * n] = 1j * r.beta.conj().T
-        gen[two_n:3 * n, 3 * n:lead] = np.eye(n)
-        psi = np.zeros((n, n), dtype=complex)   # Psi(L)
-        rot = np.eye(n, dtype=complex)          # e^{i L beta^H}
-
-    for seg in fund.segments:
-        # On [L, R] column j contributes iff d_j x >= R, and row i takes the
-        # upper branch iff d_i x >= R: the same mask.
-        alive = d * x >= seg.right
-        cols = fund.stack[:, alive] / d[alive]  # dt = dz / d_j
-        start = const[alive]
+        psi = np.zeros((1, n, n), dtype=complex)   # Psi(L)
+        rot = np.eye(n, dtype=complex)             # e^{i L beta^H}
+    for seg, on, end in zip(segments, alive, ends):
+        cols = fund.stack[:, on] / d[on]  # dt = dz / d_j
+        gen = np.zeros((lead + cols.shape[1],) * 2, dtype=complex)
         gen[:two_n, :two_n] = seg.gen_cross
+        gen[:two_n, lead:] = cols
+        start = const[on]
         if profile:
-            th2h = r.theta2[:, alive].conj().T
-            start[:, :p] += th2h @ psi @ r.theta1
-            gen[:two_n, two_n:3 * n] = cols @ th2h @ rot
-        gen[:two_n, lead:] = cols @ start
-        h = seg.right - seg.left
-        block = mat_exp(h * gen)
+            th2h = r.theta2[:, on].conj().T
+            gen[:two_n, two_n:3 * n] = cols @ th2h
+            gen[two_n:3 * n, two_n:3 * n] = 1j * r.beta.conj().T
+            gen[two_n:3 * n, 3 * n:lead] = np.eye(n)
+            start = np.repeat(start[None], count, axis=0)
+            start[:, :, :p] += th2h @ psi @ r.theta1
+        span = np.atleast_1d(seg.right - seg.left)
+        block = exp_samples(gen, span)
         # e^{-hG} times the top row gives int_0^h e^{-sG} (...) ds.
-        integral = block[:two_n, lead:]
+        integral = block[:, :two_n, lead:] @ start
         if profile:
-            integral[:, :p] += block[:two_n, 3 * n:lead] @ r.theta1
-            psi = psi + rot @ block[two_n:3 * n, 3 * n:lead]
-            rot = rot @ block[two_n:3 * n, two_n:3 * n]
-        moved = seg.left_cache @ mat_exp(-h * seg.gen_cross) @ integral
-        out[alive] += rows_upper[alive] @ moved
-        out[~alive] += rows_lower[~alive] @ moved
+            integral[:, :, :p] += block[:, :two_n, 3 * n:lead] @ rot @ r.theta1
+            psi = psi + rot @ block[:, two_n:3 * n, 3 * n:lead]
+            rot = rot @ block[:, two_n:3 * n, two_n:3 * n]
+            out[:, end, :p] += r.theta2[:, end].conj().T @ psi @ r.theta1
+        moved = seg.left_cache @ exp_samples(seg.gen_cross, -span) @ integral
+        out[:, on] += rows_upper[:, on] @ moved
+        out[:, ~on] += rows_lower[:, ~on] @ moved
     return out
 
 
@@ -306,39 +334,53 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
 def hamiltonian_factor(r: Realization, x: float, route: str = "auto") -> np.ndarray:
     """gamma(x), the p x 2p factor of the recovered Hamiltonian.
 
-    Two equivalent routes exist, both exact.  The closed route applies the
-    triangular factor to a constant block row and subtracts the explicit
-    correction; it needs an invertible state matrix.  The other route
-    applies the factor to the x-dependent profile [Phi1, I] directly; it is
-    still called "quadrature", the name the benchmark's route check selects
-    it by, although it integrates in closed form too.  "auto", the route
-    recovery always takes, prefers the closed route whenever the state
-    matrix allows it; ``route`` selects one route explicitly only so that
-    the two can be cross-checked against each other.
+    Two equivalent routes exist, both exact.  The profile route applies the
+    triangular factor to the x-dependent profile [Phi1, I] directly and
+    works for every state matrix; "auto" takes it, and so does
+    "quadrature", the name the benchmark's route check selects it by,
+    although it integrates in closed form too.  The closed route applies
+    the factor to a constant block row and subtracts the explicit
+    correction; it needs an invertible state matrix, and ``route="closed"``
+    selects it only so that the two routes can be cross-checked.
     """
     r.require_identity()
     if route not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown route {route!r}")
+    if route != "closed":
+        return _profile_factors(r, np.array([x], dtype=float))[0]
+
     kernel = inverse_kernel_for_interval(r, x)
     p = r.p
-    eye_p = np.eye(p)
+    const = np.hstack([
+        0.5 * r.diag.matrix
+        + 1j * r.theta2.conj().T @ solve(r.beta.conj().T, r.theta1),
+        np.eye(p),
+    ])
+    base = apply_triangular_adjoint(kernel, const)
+    corr = recovery_correction(kernel)
+    return base - 1j * np.hstack([corr, np.zeros((p, p))])
 
-    if route == "auto":
-        sv = np.linalg.svd(r.beta, compute_uv=False)
-        route = "closed" if sv[0] > 0 and sv[-1] / sv[0] >= 1e-12 else "quadrature"
 
-    if route == "closed":
-        const = np.hstack([
-            0.5 * r.diag.matrix
-            + 1j * r.theta2.conj().T @ solve(r.beta.conj().T, r.theta1),
-            eye_p,
-        ])
-        base = apply_triangular_adjoint(kernel, const)
-        corr = recovery_correction(kernel)
-        return base - 1j * np.hstack([corr, np.zeros((p, p))])
+def _profile_factors(r: Realization, xs: np.ndarray) -> np.ndarray:
+    """gamma(x) by the profile route for every x in ``xs``, as one batch.
 
-    const = np.hstack([0.5 * r.diag.matrix, eye_p])
-    return apply_triangular_adjoint(kernel, const, profile=True)
+    x stands for the operator restricted to [0, x]; the first x with a
+    singular corner raises :class:`IntervalSingularityError`, as
+    :func:`inverse_kernel_for_interval` would.
+    """
+    inside = (xs > 0) & (xs <= r.length * (1 + 1e-12))
+    if not inside.all():
+        raise ValueError(
+            f"sample point {xs[~inside][0]} outside (0, {r.length}]")
+    fund = FundamentalSolution(r)
+    segments, corners = fund.chain(np.minimum(xs, r.length))
+    projectors = branch_projectors(corners)
+    for x, proj in zip(xs, projectors):
+        if isinstance(proj, SingularCornerReport):
+            raise IntervalSingularityError(x, proj.rcond)
+    const = np.hstack([0.5 * r.diag.matrix, np.eye(r.p)])
+    return _factor_integrals(fund, segments, np.array(projectors), const,
+                             profile=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +403,9 @@ def recover_hamiltonian(
 ) -> HamiltonianGrid:
     """Recover gamma and H on a strictly increasing grid of points in (0, l].
 
-    Each point is independent: the fundamental solution and inverse kernel
-    are rebuilt for the interval [0, x] and the points run one after another.
+    Each point stands for the interval [0, x].  All of them go through the
+    profile route as one batch: every matrix exponential is one
+    :func:`exp_samples` call over the points.
     """
     r.require_identity()
     xs = np.asarray(xs, dtype=float)
@@ -370,10 +413,8 @@ def recover_hamiltonian(
         raise ValueError("need a one-dimensional, nonempty sample grid")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sample grid must be strictly increasing")
-    if xs[0] <= 0 or xs[-1] > r.length * (1 + 1e-12):
-        raise ValueError(f"sample points must lie in (0, {r.length}]")
 
-    gammas = np.array([hamiltonian_factor(r, x) for x in xs])
+    gammas = _profile_factors(r, xs)
     hams = np.einsum("mij,mik->mjk", gammas.conj(), gammas)
     hams = 0.5 * (hams + np.conj(np.transpose(hams, (0, 2, 1))))
     return HamiltonianGrid(xs=xs, gammas=gammas, hams=hams, diag=r.diag)

@@ -11,7 +11,8 @@ A problem description is a JSON file
       "beta":   [[[re, im], ...], ...],   # n rows, n columns
     }
 
-The recovery formula is chosen from beta; other keys are ignored.
+Recovery takes the same (profile) route for every beta; other keys are
+ignored.
 
 Complex entries are [re, im] pairs (bare reals are accepted on input but
 always serialized as pairs).  Outputs are CSV with 17-significant-digit
@@ -271,8 +272,9 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     pass = (value <= tol); the positivity entry stores the negated minimum
     eigenvalue so the rule applies unchanged.  A check that cannot run
     stores a 1e99 sentinel value and an "error" field naming the exception
-    that stopped it.  The inverse kernel, the Nystrom matrix S_N and its LU
-    factor are built once per run and shared by the checks that need them.
+    that stopped it.  The inverse kernel and the Nystrom matrix S_N are
+    built once per run and shared by the checks that need them; the LU
+    factor of S_N is built inside ``discrete_matrizant``, for its one check.
     """
     quick = level == "quick"
     count = 100 if quick else 400

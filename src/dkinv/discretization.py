@@ -148,9 +148,11 @@ def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:
     the remaining symmetrization only removes rounding noise, and is
     skipped when the matrix is exactly Hermitian, as the S_N of
     :func:`discretize_operator` is.  The extremes come from Lanczos
-    (:func:`lanczos_extremes`).  The minimum theta is certified by a Cholesky factor of H - (theta - delta) I with delta =
-    1e-10 max(1, |theta|), so the true minimum lies in [theta - delta,
-    theta]; the maximum is a Ritz value, a lower bound on the true maximum.
+    (:func:`lanczos_extremes`).  The minimum theta is certified by a
+    Cholesky factor of H - (theta - delta) I with
+    delta = 1e-10 max(1, |theta|), so the true minimum lies in
+    [theta - delta, theta]; the maximum is a Ritz value, a lower bound on
+    the true maximum.
     A dense ``eigvalsh`` answers instead when Lanczos does not converge, the
     certificate fails, or theta <= delta: near a singular or indefinite
     operator the sign of the minimum is rounding noise.

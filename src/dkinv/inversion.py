@@ -26,7 +26,7 @@ from typing import Callable, List, Union
 import numpy as np
 
 from .kernels import DiagonalStructure, Realization
-from .linalg import RCOND_MIN, exp_samples, frob, mat_exp, solve, symplectic_j
+from .linalg import RCOND_MIN, exp_samples, mat_exp, solve, symplectic_j
 
 __all__ = [
     "FundamentalSolution",
@@ -34,6 +34,7 @@ __all__ = [
     "SingularCornerReport",
     "SingularOperatorError",
     "branch_projector",
+    "branch_projectors",
     "null_basis_functions",
 ]
 
@@ -58,6 +59,9 @@ class SingularCornerReport:
 
 @dataclass(frozen=True)
 class _Segment:
+    """One segment of U.  From :meth:`FundamentalSolution.chain` the
+    endpoints and the caches carry a leading axis over interval lengths."""
+
     left: float             # closed left endpoint
     right: float            # open right endpoint (closed for the last segment)
     level: int              # level index j in 2..k+1 selecting P_j
@@ -66,7 +70,15 @@ class _Segment:
     u_left: np.ndarray         # U(left)
     right_cache: np.ndarray    # e^{left*A} U(left)
     left_cache: np.ndarray     # U(left)^{-1} e^{-left*A}
+    exp_span: np.ndarray       # e^{(right-left)(A+Y_j)}
     projector: np.ndarray      # P_j (p x p)
+
+    def at(self, k: int) -> "_Segment":
+        """The segment of the k-th interval length of a chain."""
+        return _Segment(float(self.left[k]), float(self.right[k]), self.level,
+                        self.gen_cross, self.exp_left_neg[k], self.u_left[k],
+                        self.right_cache[k], self.left_cache[k],
+                        self.exp_span[k], self.projector)
 
 
 class FundamentalSolution:
@@ -85,7 +97,7 @@ class FundamentalSolution:
     def __init__(self, realization: Realization):
         r = realization
         self.realization = r
-        n, p = r.n, r.p
+        n = r.n
         self.state_dim = 2 * n
         self.j_matrix = symplectic_j(n)
         self.interval = r.diag.d[0] * r.length  # = a, the dilated right end
@@ -99,56 +111,85 @@ class FundamentalSolution:
         self.stack = np.vstack([-r.theta1, r.theta2])
         self.adj_row = np.hstack([r.theta2.conj().T, r.theta1.conj().T])
 
-        lefts, levels = self._segment_grid(r.diag, r.length)
-        self.breakpoints = np.array(lefts + [self.interval])
-
-        dinv = r.diag.inv_matrix
-        segments: List[_Segment] = []
-        u_left = np.eye(2 * n, dtype=complex)
-        exp_neg = np.eye(2 * n, dtype=complex)  # e^{-left*A}, chained
-        for left, nxt, level in zip(lefts, lefts[1:] + [self.interval], levels):
-            proj = r.diag.projector(level)
-            y_corr = self.stack @ dinv @ proj @ self.adj_row
-            exp_pos = mat_exp(left * gen) if left else np.eye(2 * n, dtype=complex)
-            right_cache = exp_pos @ u_left
-            left_cache = self._invert(u_left) @ exp_neg
-            seg = _Segment(left, nxt, level, gen + y_corr, exp_neg,
-                           u_left, right_cache, left_cache, proj)
-            segments.append(seg)
-            # chain: U(next) = e^{-next*A} e^{(next-left)(A+Y_j)} right_cache
-            exp_neg = mat_exp(-nxt * gen)
-            u_left = exp_neg @ mat_exp((nxt - left) * seg.gen_cross) @ right_cache
-        self.segments = segments
-        self._corner = u_left  # U(a)
-        for seg in segments:
-            for arr in (seg.gen_cross, seg.exp_left_neg,
-                        seg.u_left, seg.right_cache, seg.left_cache):
+        segments, corners = self.chain([r.length])
+        self.segments = [seg.at(0) for seg in segments]
+        self._corner = corners[0]  # U(a)
+        self.breakpoints = np.array([seg.left for seg in self.segments]
+                                    + [self.interval])
+        for seg in self.segments:
+            for arr in (seg.gen_cross, seg.exp_left_neg, seg.u_left,
+                        seg.right_cache, seg.left_cache, seg.exp_span):
                 arr.flags.writeable = False
 
+    def chain(self, lengths) -> tuple[List[_Segment], np.ndarray]:
+        """Segments of U on [0, d_1 x] and the corner U(d_1 x), for every
+        interval length x in ``lengths``.
+
+        A breakpoint of the length-x interval is a level value times x, so
+        each exponential of the chain is e^{c x M} for a fixed matrix M and
+        factor c, and one :func:`exp_samples` call serves every length:
+
+            U(R) = e^{-RA} e^{(R-L)(A+Y_j)} e^{LA} U(L),   U(0) = I.
+
+        Endpoints and caches of the returned segments, and the corners, are
+        stacked along a leading axis over ``lengths``.
+        """
+        r = self.realization
+        xs = np.asarray(lengths, dtype=float)
+        gen = self.generator
+        dinv = r.diag.inv_matrix
+        factors, levels = self._segment_grid(r.diag)
+        eye = np.broadcast_to(np.eye(self.state_dim, dtype=complex),
+                              (xs.size,) + gen.shape)
+        segments: List[_Segment] = []
+        u_left = exp_neg = eye  # U(left) and e^{-left*A}, chained
+        for c_left, c_right, level in zip(factors, factors[1:] + [r.diag.d[0]],
+                                          levels):
+            left, right = c_left * xs, c_right * xs
+            proj = r.diag.projector(level)
+            gen_cross = gen + self.stack @ dinv @ proj @ self.adj_row
+            exp_pos = exp_samples(gen, left) if c_left else eye
+            right_cache = exp_pos @ u_left
+            left_cache = self._invert(u_left) @ exp_neg
+            span = exp_samples(gen_cross, right - left)
+            segments.append(_Segment(left, right, level, gen_cross, exp_neg,
+                                     u_left, right_cache, left_cache, span,
+                                     proj))
+            exp_neg = exp_samples(gen, -right)
+            u_left = exp_neg @ span @ right_cache
+        return segments, u_left
+
     @staticmethod
-    def _segment_grid(diag: DiagonalStructure, length: float):
-        """Segment left ends 0 < d~_{k-1} l < ... < d~_1 l and their levels.
+    def _segment_grid(diag: DiagonalStructure):
+        """Segment left ends 0 < d~_{k-1} < ... < d~_1, per unit length, and
+        their levels.
 
         The segment starting at lefts[m] has level index k+1-m, so the
         innermost segment gets P_{k+1} = I.
         """
         k = diag.num_levels
-        lefts = [0.0] + [diag.levels[m] * length for m in range(k - 1, 0, -1)]
+        lefts = [0.0] + [float(diag.levels[m]) for m in range(k - 1, 0, -1)]
         return lefts, list(range(k + 1, 1, -1))
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """U^{-1} through the symplectic-type relation, solve as fallback.
+
+        ``u`` is one matrix or a stack of them; the fallback solves only
+        the matrices whose residual is too large.
 
         The residual is scaled by 1 + ||U||^2 (matching the unitarity
         invariant): for large-norm U the structured inverse is exact algebra
         while a direct solve would be limited by the condition number.
         """
         jt = self.j_matrix
-        ui = jt.conj().T @ u.conj().T @ jt
-        residual = frob(u @ ui - np.eye(self.state_dim))
-        if residual > 1e-6 * (1.0 + frob(u) ** 2):
-            ui = solve(u, np.eye(self.state_dim, dtype=complex))
-        return ui
+        eye = np.eye(self.state_dim, dtype=complex)
+        us = u.reshape(-1, *eye.shape)  # one matrix or a stack of them
+        ui = jt.conj().T @ us.conj().transpose(0, 2, 1) @ jt
+        residual = np.linalg.norm(us @ ui - eye, axis=(1, 2))
+        bound = 1e-6 * (1.0 + np.linalg.norm(us, axis=(1, 2)) ** 2)
+        for k in np.flatnonzero(residual > bound):
+            ui[k] = solve(us[k], eye)
+        return ui.reshape(u.shape)
 
     # -- segment lookup ------------------------------------------------------
 
@@ -269,24 +310,38 @@ def branch_projector(
     single number, whose lone singular value makes the block-relative ratio
     identically one), and only the full corner fixes the problem's scale.
     """
-    n = fund.state_dim // 2
-    corner = fund.corner()
-    u21 = corner[n:, :n]
-    u22 = corner[n:, n:]
-    scale = float(np.linalg.svd(corner, compute_uv=False)[0])
-    sv = np.linalg.svd(u22, compute_uv=False)
-    rcond = float(sv[-1] / scale) if scale > 0 else 0.0
-    if rcond < RCOND_MIN:
-        _, s, vh = np.linalg.svd(u22)
-        mask = s <= scale * RCOND_MIN
-        basis = vh[mask].conj().T
-        if basis.size == 0:  # pragma: no cover - rcond gate guarantees a vector
-            basis = vh[-1:].conj().T
-        return SingularCornerReport(rcond=rcond, null_basis=basis)
-    proj = np.zeros((2 * n, 2 * n), dtype=complex)
-    proj[n:, :n] = solve(u22, u21)
-    proj[n:, n:] = np.eye(n)
-    return proj
+    return branch_projectors(fund.corner()[None])[0]
+
+
+def branch_projectors(
+    corners: np.ndarray,
+) -> List[Union[np.ndarray, SingularCornerReport]]:
+    """:func:`branch_projector` of every corner in a stack of them.
+
+    The singular values that gate each corner come from two stacked SVDs;
+    the projector of each invertible corner is one guarded :func:`solve`.
+    """
+    n = corners.shape[-1] // 2
+    u21 = corners[:, n:, :n]
+    u22 = corners[:, n:, n:]
+    scales = np.linalg.svd(corners, compute_uv=False)[:, 0]
+    lowest = np.linalg.svd(u22, compute_uv=False)[:, -1]
+    out: List[Union[np.ndarray, SingularCornerReport]] = []
+    for k, scale in enumerate(scales):
+        rcond = float(lowest[k] / scale) if scale > 0 else 0.0
+        if rcond < RCOND_MIN:
+            _, s, vh = np.linalg.svd(u22[k])
+            mask = s <= scale * RCOND_MIN
+            basis = vh[mask].conj().T
+            if basis.size == 0:  # pragma: no cover - rcond gate guarantees a vector
+                basis = vh[-1:].conj().T
+            out.append(SingularCornerReport(rcond=rcond, null_basis=basis))
+            continue
+        proj = np.zeros((2 * n, 2 * n), dtype=complex)
+        proj[n:, :n] = solve(u22[k], u21[k])
+        proj[n:, n:] = np.eye(n)
+        out.append(proj)
+    return out
 
 
 class InverseKernel:

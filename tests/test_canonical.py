@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dkinv import canonical, inversion
+from dkinv import canonical, inversion, kernels, linalg
 from dkinv.canonical import (
     DefectiveEigenvalueError,
     HamiltonianGrid,
@@ -24,6 +24,7 @@ from dkinv.linalg import SingularMatrixError, exchange_j
 
 from conftest import (
     ACCEPTANCE_CASES,
+    bench_shape_realization,
     hermitian_realization,
     matrix_im,
     random_realization,
@@ -344,16 +345,20 @@ class TestHamiltonianFactor:
             assert np.abs(gm @ ex @ gm.conj().T - dmat).max() <= 1e-7
 
     def test_routes_agree(self, scalar, seed10):
-        for r in (scalar, seed10):
-            for x in (0.25, 0.5, 1.0):
+        # recover_hamiltonian's batched profile route against the per-point
+        # closed route, on 50 points.
+        for r in (scalar, seed10, bench_shape_realization()):
+            xs = np.linspace(r.length / 50, r.length, 50)
+            gammas = recover_hamiltonian(r, xs).gammas
+            for x, gm in zip(xs, gammas):
                 closed = hamiltonian_factor(r, x, route="closed")
-                quad = hamiltonian_factor(r, x, route="quadrature")
-                assert np.abs(closed - quad).max() <= 1e-6
+                assert np.abs(gm - closed).max() \
+                    <= 1e-12 * (1.0 + np.abs(gm).max())
 
     def test_closed_route_needs_invertible_state_matrix(self, zero_data):
         with pytest.raises(SingularMatrixError):
             hamiltonian_factor(zero_data, 0.5, route="closed")
-        # auto falls back to quadrature silently
+        # auto takes the profile route, which needs no inverse of beta
         got = hamiltonian_factor(zero_data, 0.5, route="auto")
         want = np.hstack([zero_data.diag.matrix / 2, np.eye(2)])
         assert np.abs(got - want).max() <= 1e-10
@@ -407,6 +412,58 @@ class TestRecoverHamiltonian:
     def test_rejects_unsorted_sample_points(self, scalar):
         with pytest.raises(ValueError):
             recover_hamiltonian(scalar, np.array([0.5, 0.3, 0.8]))
+
+    @pytest.mark.parametrize("count", [8, 40])
+    def test_singular_length_raises_like_one_point(self, count):
+        # The grid crosses x = 1, where the corner of the singular scalar
+        # problem is singular; the batch stops there with the error the
+        # per-point restriction raises.  (The problem breaks the structure
+        # identity, so the batch is called below recover_hamiltonian.)  Up
+        # to 14 points the corners are bit-equal to the per-point ones, so
+        # the rcond is too.  A RuntimeWarning would fail the test.
+        r = singular_scalar_realization().with_length(2.0)
+        xs = np.arange(1, count + 1) * (2.0 / count)
+        with pytest.raises(IntervalSingularityError) as batch:
+            canonical._profile_factors(r, xs)
+        with pytest.raises(IntervalSingularityError) as single:
+            inverse_kernel_for_interval(r, 1.0)
+        assert batch.value.critical_x == single.value.critical_x == 1.0
+        assert batch.value.rcond <= 1e-12
+        if count <= 14:
+            assert batch.value.rcond == single.value.rcond
+
+    @pytest.mark.parametrize("name", ["zero_data", "singular_hermitian"])
+    def test_singular_state_matrix_matches_per_point_route(self, name):
+        # Singular beta: the batch against apply_triangular_adjoint on the
+        # inverse kernel built for each point.
+        r = _adjoint_case(name)
+        xs = np.linspace(r.length / 30, r.length, 30)
+        gammas = recover_hamiltonian(r, xs).gammas
+        const = np.hstack([0.5 * r.diag.matrix, np.eye(r.p)])
+        for x, gm in zip(xs, gammas):
+            kern = inverse_kernel_for_interval(r, x)
+            want = apply_triangular_adjoint(kern, const, profile=True)
+            assert np.abs(gm - want).max() \
+                <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_exponentials_do_not_grow_with_samples(self, expm_slices,
+                                                  monkeypatch):
+        # No per-point mat_exp, and a Pade slice count that does not depend
+        # on the number of samples (the per-point recovery made about 20
+        # mat_exp calls per sample on this shape).
+        def refuse(m):
+            raise AssertionError("per-point mat_exp in recovery")
+
+        for module in (canonical, inversion, kernels, linalg):
+            monkeypatch.setattr(module, "mat_exp", refuse)
+        r = bench_shape_realization()
+        counts = []
+        for samples in (50, 500):
+            before = expm_slices[0]
+            recover_hamiltonian(r, np.linspace(r.length / samples, r.length,
+                                               samples))
+            counts.append(expm_slices[0] - before)
+        assert counts[0] == counts[1] <= 200
 
 
 class TestMatrizant:

@@ -197,7 +197,7 @@ class TestRecover:
         assert "sample" in capsys.readouterr().err
 
     def test_flags_do_not_change_bytes(self, seed10, tmp_path):
-        # The recovery formula is chosen from beta alone; a "flags" key is
+        # Recovery takes the profile route for every beta; a "flags" key is
         # ignored like any unknown key, so the output never depends on it.
         for r in (scalar_realization(), seed10):
             outs = []

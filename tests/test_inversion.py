@@ -121,18 +121,14 @@ def _four_exponential_segments(f):
 
 class TestSegmentCaches:
     @pytest.mark.parametrize("shape", ["bench_shape", "seed10", "scalar"])
-    def test_chain_reuses_exponentials(self, shape, request, monkeypatch):
+    def test_chain_reuses_exponentials(self, shape, request, expm_slices):
         r = bench_shape_realization() if shape == "bench_shape" \
             else request.getfixturevalue(shape)
-        calls = []
-        pade = linalg.mat_exp
-        monkeypatch.setattr(inversion, "mat_exp",
-                            lambda m: calls.append(1) or pade(m))
         f = FundamentalSolution(r)
         k = len(f.segments)
         # Two per chain step, one e^{L A} per inner breakpoint (12 -> 8 on
-        # the benchmark shape, where k = 3).
-        assert len(calls) == 3 * k - 1
+        # the benchmark shape, where k = 3), each one Pade slice.
+        assert expm_slices[0] == 3 * k - 1
         want, corner = _four_exponential_segments(f)
         for seg, (exp_neg, u_left, right_cache, left_cache) in \
                 zip(f.segments, want):
@@ -141,6 +137,49 @@ class TestSegmentCaches:
             assert np.array_equal(seg.right_cache, right_cache)
             assert np.array_equal(seg.left_cache, left_cache)
         assert np.array_equal(f.corner(), corner)
+
+
+    @pytest.mark.parametrize("shape", ["bench_shape", "seed10", "repeated"])
+    def test_chain_matches_per_length_builds(self, shape, request):
+        # One chain over many lengths against a FundamentalSolution built
+        # for each length.  Up to 14 lengths every exponential is its own
+        # Pade slice, so the caches agree bit for bit; beyond that they come
+        # from anchors and Taylor polynomials, and agree to rounding.
+        if shape == "bench_shape":
+            r = bench_shape_realization()
+        elif shape == "repeated":
+            r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
+        else:
+            r = request.getfixturevalue(shape)
+        names = ("exp_left_neg", "u_left", "right_cache", "left_cache",
+                 "exp_span")
+        for count, tol in ((7, 0.0), (40, 1e-13)):
+            xs = np.linspace(r.length / count, r.length, count)
+            segments, corners = FundamentalSolution(r).chain(xs)
+            for k, x in enumerate(xs):
+                f = FundamentalSolution(r.with_length(x))
+                scale = 1.0 + np.abs(f.corner()).max()
+                assert np.abs(corners[k] - f.corner()).max() <= tol * scale
+                for got, want in zip(segments, f.segments):
+                    got = got.at(k)
+                    assert (got.left, got.right) == (want.left, want.right)
+                    for name in names:
+                        gap = np.abs(getattr(got, name)
+                                     - getattr(want, name)).max()
+                        assert gap <= tol * scale
+
+    def test_invert_falls_back_per_matrix(self, seed10):
+        # In a stack, only the matrix that fails the J-relation is solved.
+        f = FundamentalSolution(seed10)
+        us = np.array([f.value(0.3), f.value(0.9), f.value(1.4)])
+        us[1, 0, 0] += 0.5
+        got = f._invert(us)
+        for k in (0, 2):
+            assert np.array_equal(got[k], f._invert(us[k]))
+            assert np.array_equal(
+                got[k], f.j_matrix.conj().T @ us[k].conj().T @ f.j_matrix)
+        want = linalg.solve(us[1], np.eye(f.state_dim, dtype=complex))
+        assert np.array_equal(got[1], want)
 
 
 class TestBatchedFactors:
@@ -206,6 +245,27 @@ class TestBranchProjector:
             proj = inversion.branch_projector(FundamentalSolution(r))
             assert isinstance(proj, np.ndarray)
             assert np.abs(proj @ proj - proj).max() <= 1e-12
+
+    def test_stacked_corners_match_single(self, seed10):
+        # branch_projectors on a stack against branch_projector per corner.
+        funds = [FundamentalSolution(seed10.with_length(x))
+                 for x in (0.3, 0.7, 1.0)]
+        corners = np.array([f.corner() for f in funds])
+        got = inversion.branch_projectors(corners)
+        for proj, f in zip(got, funds):
+            assert np.array_equal(proj, inversion.branch_projector(f))
+
+    def test_stacked_singular_corner_reported(self, scalar):
+        # A singular corner in a stack gets the report branch_projector gives.
+        singular = FundamentalSolution(singular_scalar_realization())
+        regular = FundamentalSolution(scalar)
+        got = inversion.branch_projectors(
+            np.array([regular.corner(), singular.corner()]))
+        want = inversion.branch_projector(singular)
+        assert np.array_equal(got[0], inversion.branch_projector(regular))
+        assert isinstance(got[1], SingularCornerReport)
+        assert got[1].rcond == want.rcond
+        assert np.array_equal(got[1].null_basis, want.null_basis)
 
     def test_singular_corner_reported(self):
         f = FundamentalSolution(singular_scalar_realization())
