@@ -27,11 +27,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.linalg import null_space
 
-from .inversion import (FundamentalSolution, InverseKernel,
-                        SingularCornerReport, branch_projectors)
+from .inversion import (InverseKernel, SingularCornerReport, _StateSystem,
+                        branch_projectors)
 from .kernels import DiagonalStructure, Realization
 from .linalg import (as_matrix, eig_spectrum, exchange_j, exp_samples, frob,
-                     mat_exp, solve)
+                     solve)
 
 __all__ = [
     "DefectiveEigenvalueError",
@@ -217,13 +217,13 @@ def apply_triangular_adjoint(
                              kernel.p_cross, const, profile)[0]
 
 
-def _factor_integrals(fund: FundamentalSolution, segments: Sequence,
+def _factor_integrals(fund: _StateSystem, segments: Sequence,
                       proj: np.ndarray, const: np.ndarray,
                       profile: bool) -> np.ndarray:
     """:func:`apply_triangular_adjoint` for a batch of interval lengths.
 
     ``segments`` and ``proj`` (the branch projectors) come from
-    :meth:`FundamentalSolution.chain` and :func:`branch_projectors` for
+    ``fund.chain`` and :func:`branch_projectors` for
     the lengths x; a single length's unstacked segments broadcast as a
     batch of one.  Returns the (len(x), p, m) stack of results.
 
@@ -314,20 +314,18 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
     fund, proj = kernel.fund, kernel.p_cross
 
     n, p, d = r.n, r.p, r.diag.d
-    eye2n = np.eye(2 * n)
     embed = np.vstack([np.eye(n), np.zeros((n, n))])  # [I_n; 0]
     corner_inv = fund._invert(fund.corner())  # U(d_1 x)^{-1}
     right_factor = solve(beta.conj().T, r.theta1)
-    adj = fund.adj_row  # [theta2^H, theta1^H]
-
+    direct = exp_samples(1j * beta.conj().T, d * x)  # e^{i d_s x beta^H}
     out = np.empty((p, p), dtype=complex)
     for s in range(p):
         y = d[s] * x
         u_inv = corner_inv if d[s] == d[0] else fund.inverse(y)
-        middle = proj @ corner_inv - u_inv + eye2n - proj
-        direct = r.theta2.conj().T[s, :] @ mat_exp(1j * y * beta.conj().T)
-        bracket = adj[s, :] @ fund.propagated(y) @ middle @ embed
-        out[s, :] = (direct + bracket) @ right_factor
+        middle = proj @ corner_inv - u_inv + np.eye(2 * n) - proj
+        bracket = fund.adj_row[s, :] @ fund.propagated(y) @ middle @ embed
+        out[s, :] = (r.theta2.conj().T[s, :] @ direct[s] + bracket) \
+            @ right_factor
     return out
 
 
@@ -372,14 +370,14 @@ def _profile_factors(r: Realization, xs: np.ndarray) -> np.ndarray:
     if not inside.all():
         raise ValueError(
             f"sample point {xs[~inside][0]} outside (0, {r.length}]")
-    fund = FundamentalSolution(r)
-    segments, corners = fund.chain(np.minimum(xs, r.length))
+    system = _StateSystem(r)
+    segments, corners = system.chain(np.minimum(xs, r.length))
     projectors = branch_projectors(corners)
     for x, proj in zip(xs, projectors):
         if isinstance(proj, SingularCornerReport):
             raise IntervalSingularityError(x, proj.rcond)
     const = np.hstack([0.5 * r.diag.matrix, np.eye(r.p)])
-    return _factor_integrals(fund, segments, np.array(projectors), const,
+    return _factor_integrals(system, segments, np.array(projectors), const,
                              profile=True)
 
 

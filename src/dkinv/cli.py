@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -97,7 +98,9 @@ def _complex_matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
 def parse_config_dict(raw: dict) -> ProblemConfig:
     """Validate a decoded JSON object into a ProblemConfig.
 
-    Dimensions must be consistent.  A d that is not non-increasing is
+    Dimensions must be consistent: p and n are integral numbers, not
+    booleans, and l and the entries of d are finite (Python's ``json``
+    decodes ``Infinity`` and ``NaN``).  A d that is not non-increasing is
     re-sorted (stably, descending) together with the matching columns of
     theta1/theta2; the permutation is recorded and a warning goes to stderr.
     """
@@ -108,15 +111,15 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
     if missing:
         raise ConfigError(f"missing required fields: {', '.join(missing)}")
     try:
-        p = int(raw["p"])
-        n = int(raw["n"])
-        length = float(raw["l"])
+        p_num, n_num, length = (float(raw[key]) for key in ("p", "n", "l"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"p, n, l must be numeric: {exc}") from exc
-    if p < 1 or n < 1:
+    if isinstance(raw["p"], bool) or isinstance(raw["n"], bool) or not (
+            p_num.is_integer() and n_num.is_integer() and min(p_num, n_num) >= 1):
         raise ConfigError("p and n must be positive integers")
-    if not length > 0:
-        raise ConfigError("l must be positive")
+    p, n = int(p_num), int(n_num)
+    if not 0 < length < math.inf:
+        raise ConfigError("l must be positive and finite")
     d_raw = raw["d"]
     if not isinstance(d_raw, list) or len(d_raw) != p:
         raise ConfigError(f"d must be a list of {p} reals")
@@ -124,8 +127,8 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
         d = [float(v) for v in d_raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"d entries must be real numbers: {exc}") from exc
-    if any(v <= 0 for v in d):
-        raise ConfigError("d entries must be positive")
+    if not all(0 < v < math.inf for v in d):
+        raise ConfigError("d entries must be positive and finite")
 
     theta1 = _complex_matrix(raw["theta1"], n, p, "theta1")
     theta2 = _complex_matrix(raw["theta2"], n, p, "theta2")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm as _batch_expm
 from scipy.linalg import cholesky, lu_factor, lu_solve, solve_triangular
 
 from .inversion import InverseKernel
@@ -69,20 +68,18 @@ def discretize_operator(r: Realization, count: int) -> DiscreteOperator:
     if count < 8:
         raise ValueError("need at least 8 quadrature nodes")
     xs, h = _midpoint_nodes(r.length, count)
-    n, p, d = r.n, r.p, r.diag.d
-    beta_h = r.beta.conj().T
-
-    row_block = np.empty((p * count, n), dtype=complex)
-    col_block = np.empty((n, p * count), dtype=complex)
-    for i in range(p):
-        args = 1j * (d[i] * xs)[:, None, None] * beta_h[None, :, :]
-        row_block[i * count:(i + 1) * count, :] = np.einsum(
-            "v,avw->aw", np.conj(r.theta2[:, i]), _batch_expm(args))
-        col_block[:, i * count:(i + 1) * count] = np.einsum(
-            "avw,w->va", _batch_expm(-args), r.theta1[:, i])
+    p, d = r.p, r.diag.d
+    coords = np.kron(d, xs)
+    comp = np.repeat(np.arange(p), count)
+    # Rows theta2[:, i]^H e^{i y beta^H} and columns e^{-i y beta^H}
+    # theta1[:, i] at y = d_i x_a: one exp_samples call for each sign.
+    gen = 1j * r.beta.conj().T
+    row_block = np.einsum("av,avw->aw", r.theta2.conj().T[comp],
+                          exp_samples(gen, coords))
+    col_block = np.einsum("avw,aw->va", exp_samples(gen, -coords),
+                          r.theta1.T[comp])
 
     matrix = row_block @ col_block         # valid where d_i x_a >= d_j x_b
-    coords = np.kron(d, xs)
     diff = coords[:, None] - coords[None, :]
     tol = 1e-13 * d[0] * max(r.length, 1.0)
     below, near = diff < -tol, np.abs(diff) <= tol
@@ -181,26 +178,12 @@ def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
 
     Row (i, a) holds [Phi1(x_a)[i, :], e_i^T]; this (p*N) x 2p matrix is the
     discrete stand-in for the pair of profiles that generate both the
-    operator identity and the transfer function below.  Phi1 is the edge
-    profile of :meth:`Realization.edge_profile`, row i being (d_i/2) e_i +
-    theta2[:, i]^H Psi(d_i x) theta1 with Psi(u) = int_0^u e^{iw beta^H} dw,
-    read off :func:`exp_samples` of ``r.primitive_generator`` at all p*N
-    points u = d_i x_a.
+    operator identity and the transfer function below.  Phi1 is
+    :meth:`Realization.edge_profile` at all nodes, in the same layout.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.min() < 0 or xs.max() > r.length * (1 + 1e-12):
-        raise ValueError(f"profile points outside [0, {r.length}]")
-    count = xs.size
-    n, p, d = r.n, r.p, r.diag.d
-    psi = exp_samples(r.primitive_generator, np.kron(d, xs))[:, :n, n:]
-    comp = np.repeat(np.arange(p), count)
-    rows = np.arange(p * count)
-    out = np.zeros((p * count, 2 * p), dtype=complex)
-    out[:, :p] = np.einsum("av,avw->aw", r.theta2.conj().T[comp], psi) \
-        @ r.theta1
-    out[rows, comp] += 0.5 * d[comp]
-    out[rows, p + comp] = 1.0
-    return out
+    return np.hstack([r.edge_profile(xs),
+                      np.repeat(np.eye(r.p), xs.size, axis=0)])
 
 
 def _midpoint_integrator(count: int, h: float) -> np.ndarray:

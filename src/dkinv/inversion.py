@@ -19,14 +19,13 @@ functions of the operator are produced by :func:`null_basis_functions`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Union
 
 import numpy as np
 
-from .kernels import DiagonalStructure, Realization
-from .linalg import RCOND_MIN, exp_samples, mat_exp, solve, symplectic_j
+from .kernels import Realization
+from .linalg import RCOND_MIN, exp_samples, solve, symplectic_j
 
 __all__ = [
     "FundamentalSolution",
@@ -81,18 +80,9 @@ class _Segment:
                         self.exp_span[k], self.projector)
 
 
-class FundamentalSolution:
-    """Piecewise closed-form fundamental solution U(y) on [0, d_1*l].
-
-    Segment boundaries sit at the level breakpoints d~_j * l; on the segment
-    with closed left endpoint L and level index j,
-
-        U(y) = e^{-yA} e^{(y-L)(A+Y_j)} e^{LA} U(L),
-
-    chained from U(0) = I.  A breakpoint belongs to the segment where it is
-    the left endpoint; the last segment also owns its right endpoint.  All
-    caches are built up front, so concurrent evaluation is safe.
-    """
+class _StateSystem:
+    """The length-independent data of U and the chain of segments built
+    from it: the doubled generator A, the rank factors and J."""
 
     def __init__(self, realization: Realization):
         r = realization
@@ -100,26 +90,15 @@ class FundamentalSolution:
         n = r.n
         self.state_dim = 2 * n
         self.j_matrix = symplectic_j(n)
-        self.interval = r.diag.d[0] * r.length  # = a, the dilated right end
 
         gen = np.zeros((2 * n, 2 * n), dtype=complex)
         gen[:n, :n] = 1j * r.beta.conj().T
         gen[n:, n:] = 1j * r.beta
-        self.generator = gen  # the matrix called A above
+        self.generator = gen  # the matrix called A below
 
         # [-theta1; theta2] and [theta2^H, theta1^H]: the two rank factors.
         self.stack = np.vstack([-r.theta1, r.theta2])
         self.adj_row = np.hstack([r.theta2.conj().T, r.theta1.conj().T])
-
-        segments, corners = self.chain([r.length])
-        self.segments = [seg.at(0) for seg in segments]
-        self._corner = corners[0]  # U(a)
-        self.breakpoints = np.array([seg.left for seg in self.segments]
-                                    + [self.interval])
-        for seg in self.segments:
-            for arr in (seg.gen_cross, seg.exp_left_neg, seg.u_left,
-                        seg.right_cache, seg.left_cache, seg.exp_span):
-                arr.flags.writeable = False
 
     def chain(self, lengths) -> tuple[List[_Segment], np.ndarray]:
         """Segments of U on [0, d_1 x] and the corner U(d_1 x), for every
@@ -138,7 +117,11 @@ class FundamentalSolution:
         xs = np.asarray(lengths, dtype=float)
         gen = self.generator
         dinv = r.diag.inv_matrix
-        factors, levels = self._segment_grid(r.diag)
+        # Left ends 0 < d~_{k-1} < ... < d~_1 per unit length; the segment
+        # opened by the m-th has level index k+1-m, the innermost P_{k+1} = I.
+        k = r.diag.num_levels
+        factors = [0.0] + [float(r.diag.levels[m]) for m in range(k - 1, 0, -1)]
+        levels = range(k + 1, 1, -1)
         eye = np.broadcast_to(np.eye(self.state_dim, dtype=complex),
                               (xs.size,) + gen.shape)
         segments: List[_Segment] = []
@@ -158,18 +141,6 @@ class FundamentalSolution:
             exp_neg = exp_samples(gen, -right)
             u_left = exp_neg @ span @ right_cache
         return segments, u_left
-
-    @staticmethod
-    def _segment_grid(diag: DiagonalStructure):
-        """Segment left ends 0 < d~_{k-1} < ... < d~_1, per unit length, and
-        their levels.
-
-        The segment starting at lefts[m] has level index k+1-m, so the
-        innermost segment gets P_{k+1} = I.
-        """
-        k = diag.num_levels
-        lefts = [0.0] + [float(diag.levels[m]) for m in range(k - 1, 0, -1)]
-        return lefts, list(range(k + 1, 1, -1))
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """U^{-1} through the symplectic-type relation, solve as fallback.
@@ -191,27 +162,72 @@ class FundamentalSolution:
             ui[k] = solve(us[k], eye)
         return ui.reshape(u.shape)
 
+
+class FundamentalSolution(_StateSystem):
+    """Piecewise closed-form fundamental solution U(y) on [0, d_1*l].
+
+    Segment boundaries sit at the level breakpoints d~_j * l; on the segment
+    with closed left endpoint L and level index j,
+
+        U(y) = e^{-yA} e^{(y-L)(A+Y_j)} e^{LA} U(L),
+
+    chained from U(0) = I.  A breakpoint belongs to the segment where it is
+    the left endpoint; the last segment also owns its right endpoint.  All
+    caches are built up front, so concurrent evaluation is safe.
+    """
+
+    def __init__(self, realization: Realization):
+        super().__init__(realization)
+        length = realization.length
+        self.interval = realization.diag.d[0] * length  # a, the dilated end
+        segments, corners = self.chain([length])
+        self.segments = [seg.at(0) for seg in segments]
+        self._corner = corners[0]  # U(a)
+        self.lefts = np.array([seg.left for seg in self.segments])
+        for seg in self.segments:
+            for arr in (seg.gen_cross, seg.exp_left_neg, seg.u_left,
+                        seg.right_cache, seg.left_cache, seg.exp_span):
+                arr.flags.writeable = False
+
     # -- segment lookup ------------------------------------------------------
 
-    def _locate(self, y: float) -> tuple[_Segment, float]:
+    def _segments_at(self, ys):
+        """(segment, mask, y - L) for each segment holding some of ``ys``.
+
+        ``ys`` are dilated coordinates in [0, a], up to the relative slack
+        _FUZZ, and are clamped into it.  A breakpoint belongs to the segment
+        it opens; the last segment also owns a.  Every evaluator below finds
+        its segments here, with one :func:`exp_samples` call per segment.
+        """
+        ys = np.asarray(ys, dtype=float)
         a = self.interval
-        if y < -_FUZZ * a or y > a * (1 + _FUZZ):
-            raise ValueError(f"coordinate {y} outside [0, {a}]")
-        y = min(max(y, 0.0), a)
-        idx = bisect_right(self.breakpoints[:-1], y) - 1
-        idx = max(idx, 0)
-        return self.segments[idx], y
+        inside = (ys >= -_FUZZ * a) & (ys <= a * (1 + _FUZZ))
+        if not inside.all():
+            raise ValueError(f"coordinate {ys[~inside][0]} outside [0, {a}]")
+        ys = ys.clip(0.0, a)
+        idx = np.maximum(np.searchsorted(self.lefts, ys, side="right") - 1, 0)
+        for k in np.unique(idx):
+            at = idx == k
+            yield self.segments[k], at, ys[at] - self.lefts[k]
+
+    def _dilated(self, comp: np.ndarray, pts) -> np.ndarray:
+        """y = d_c x for the pairs (c, x) of ``comp`` and ``pts``, x in [0, l]."""
+        r = self.realization
+        pts = np.asarray(pts, dtype=float)
+        inside = (pts >= -_FUZZ * r.length) & (pts <= r.length * (1 + _FUZZ))
+        if not inside.all():
+            raise ValueError(f"argument {pts[~inside][0]} outside [0, {r.length}]")
+        return r.diag.d[comp] * pts
 
     # -- evaluators ----------------------------------------------------------
 
     def value(self, y: float) -> np.ndarray:
         """U(y); two matrix exponentials beyond the cached segment data."""
-        seg, y = self._locate(y)
-        off = y - seg.left
-        if off == 0.0:
+        seg, _, off = next(self._segments_at([y]))
+        if off[0] == 0.0:
             return seg.u_left
-        return seg.exp_left_neg @ mat_exp(-off * self.generator) \
-            @ mat_exp(off * seg.gen_cross) @ seg.right_cache
+        return seg.exp_left_neg @ exp_samples(self.generator, -off)[0] \
+            @ exp_samples(seg.gen_cross, off)[0] @ seg.right_cache
 
     def inverse(self, y: float) -> np.ndarray:
         return self._invert(self.value(y))
@@ -222,51 +238,25 @@ class FundamentalSolution:
 
     def propagated(self, y: float) -> np.ndarray:
         """e^{yA} U(y), the left-propagated solution (one exponential)."""
-        seg, y = self._locate(y)
-        return mat_exp((y - seg.left) * seg.gen_cross) @ seg.right_cache
-
-    def c_times_u(self, y: float) -> np.ndarray:
-        """C(y) U(y) without forming U (single exponential)."""
-        seg, y = self._locate(y)
-        return seg.projector @ self.adj_row \
-            @ mat_exp((y - seg.left) * seg.gen_cross) @ seg.right_cache
-
-    def _segment_exps(self, comp: np.ndarray, pts, sign: float):
-        """(segment, mask, e^{sign (y-L)(A+Y_j)}) per segment holding points.
-
-        y = d_c x for the pairs (c, x) of ``comp`` and ``pts``, x in [0, l];
-        a breakpoint goes to the segment it opens, as in :meth:`_locate`.
-        The mask selects the pairs in the segment, whose exponentials come
-        from one :func:`exp_samples` call.
-        """
-        r = self.realization
-        pts = np.asarray(pts, dtype=float)
-        inside = (pts >= -_FUZZ) & (pts <= r.length * (1 + _FUZZ))
-        if not inside.all():
-            raise ValueError(f"argument {pts[~inside][0]} outside [0, {r.length}]")
-        y = (r.diag.d[comp] * pts).clip(0.0, self.interval)
-        idx = np.maximum(
-            np.searchsorted(self.breakpoints[:-1], y, side="right") - 1, 0)
-        off = sign * (y - self.breakpoints[idx])
-        for k in sorted(set(idx.tolist())):
-            at = idx == k
-            seg = self.segments[k]
-            yield seg, at, exp_samples(seg.gen_cross, off[at])
+        seg, _, off = next(self._segments_at([y]))
+        return exp_samples(seg.gen_cross, off)[0] @ seg.right_cache
 
     def _rows(self, comp: np.ndarray, pts) -> np.ndarray:
         """Rows adj_row[c] e^{(y-L)(A+Y_j)} right_cache at y = d_c x."""
         out = np.empty((comp.size, self.state_dim), dtype=complex)
-        for seg, at, exps in self._segment_exps(comp, pts, 1.0):
-            out[at] = (self.adj_row[comp[at], None, :] @ exps
+        for seg, at, off in self._segments_at(self._dilated(comp, pts)):
+            out[at] = (self.adj_row[comp[at], None, :]
+                       @ exp_samples(seg.gen_cross, off)
                        @ seg.right_cache)[:, 0, :]
         return out
 
     def _cols(self, comp: np.ndarray, pts) -> np.ndarray:
         """Columns left_cache e^{-(z-L)(A+Y_j)} stack[:, c] at z = d_c t."""
         out = np.empty((self.state_dim, comp.size), dtype=complex)
-        for seg, at, exps in self._segment_exps(comp, pts, -1.0):
+        for seg, at, off in self._segments_at(self._dilated(comp, pts)):
             out[:, at] = seg.left_cache \
-                @ (exps @ self.stack.T[comp[at], :, None])[:, :, 0].T
+                @ (exp_samples(seg.gen_cross, -off)
+                   @ self.stack.T[comp[at], :, None])[:, :, 0].T
         return out
 
     def left_row(self, i: int, x: float) -> np.ndarray:
@@ -433,10 +423,16 @@ def null_basis_functions(
 
     Each returned callable maps x in [0, l] to the p-vector whose component i
     is [C(y) U(y) [0; g]]_i at y = d_i x — the dilated-coordinate null
-    function pulled back to the original interval.
+    function pulled back to the original interval.  C(y) is
+    P(y) [theta2^H, theta1^H] e^{yA}, and P(y) keeps component i at
+    y = d_i x for every x < l, so component i is the row factor of
+    :meth:`FundamentalSolution.left_row` times [0; g]; at x = l, where the
+    segment lookup has moved past component i's last segment, that is its
+    limit from the left.
     """
     r = fund.realization
     n, p = r.n, r.p
+    comp = np.arange(p)
     funcs: List[Callable[[float], np.ndarray]] = []
     for col in range(report.null_basis.shape[1]):
         tail = np.concatenate([np.zeros(n, dtype=complex),
@@ -444,8 +440,14 @@ def null_basis_functions(
 
         def h(x: float, _tail: np.ndarray = tail) -> np.ndarray:
             out = np.empty(p, dtype=complex)
-            for i in range(p):
-                out[i] = (fund.c_times_u(r.diag.d[i] * x) @ _tail)[i]
+            ys = fund._dilated(comp, np.full(p, x))
+            for seg, at, off in fund._segments_at(ys):
+                # All p rows in one product, not left_rows' one-row ones:
+                # the two round differently in the last bit, and the
+                # singular table of `invert` keeps its bytes.
+                rows = fund.adj_row @ exp_samples(seg.gen_cross, off) \
+                    @ seg.right_cache
+                out[at] = (rows @ _tail)[np.arange(off.size), comp[at]]
             return out
 
         funcs.append(h)

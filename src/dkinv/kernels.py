@@ -9,9 +9,10 @@ own factor; equal factors group into levels, and the level structure drives
 everything downstream (segment breakpoints, projectors, inversion).
 
 This module holds the immutable problem data (:class:`DiagonalStructure`,
-:class:`Realization`) and the pointwise evaluators: the kernel itself, its
-integral primitive (jump 1 across zero on the diagonal) and the scaled edge
-profile feeding the low-rank commutator coupling.
+:class:`Realization`) and the evaluators: the kernel itself, its integral
+primitive (jump 1 across zero on the diagonal) and the scaled edge profile
+feeding the low-rank commutator coupling, at one point or, for the edge
+profile, at many.  Their exponentials come from :func:`exp_samples`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, frob, mat_exp
+from .linalg import DimensionError, as_matrix, exp_samples, frob
 
 __all__ = [
     "DiagonalStructure",
@@ -201,10 +202,11 @@ class Realization:
         any convention on that single point is spectrally irrelevant.
         """
         lim = self.diag.d[0] * self.length
-        if abs(x) > lim * (1 + 1e-12):
+        if not abs(x) <= lim * (1 + 1e-12):  # NaN included
             raise ValueError(f"kernel argument {x} outside [-{lim}, {lim}]")
         if x >= 0:
-            return self.theta2.conj().T @ mat_exp(1j * x * self.beta.conj().T) @ self.theta1
+            return self.theta2.conj().T \
+                @ exp_samples(1j * self.beta.conj().T, [x])[0] @ self.theta1
         return self.kernel(-x).conj().T
 
     def integrated_kernel(self, x: float) -> np.ndarray:
@@ -214,9 +216,9 @@ class Realization:
         exp([[i beta^H, I], [0, 0]] * x), so singular beta needs no special
         casing.  Defined for all x >= 0; its derivative is D^-1 kernel(x).
         """
-        if x < 0:
+        if not x >= 0:  # NaN included
             raise ValueError("integrated_kernel takes a nonnegative argument")
-        block = mat_exp(x * self.primitive_generator)[:self.n, self.n:]
+        block = exp_samples(self.primitive_generator, [x])[0, :self.n, self.n:]
         return 0.5 * np.eye(self.p) + self.diag.inv_matrix @ self.theta2.conj().T @ block @ self.theta1
 
     @property
@@ -232,21 +234,25 @@ class Realization:
         aug[:n, n:] = np.eye(n)
         return aug
 
-    def edge_profile(self, x: float) -> np.ndarray:
+    def edge_profile(self, xs) -> np.ndarray:
         """Scaled restriction of the primitive to the t = 0 edge.
 
-        Row i is d_i * s_{i,.}(d_i x); the value at x = 0 is D/2.  This is
-        the x-dependent column block of the rank-2p coupling in the
-        commutator identity (the constant block being the identity).
+        At one x, row i is d_i * s_{i,.}(d_i x), that is
+        (d_i/2) e_i + theta2[:, i]^H Psi(d_i x) theta1 with
+        Psi(u) = int_0^u e^{iw beta^H} dw; the value at x = 0 is D/2.  This
+        is the x-dependent column block of the rank-2p coupling in the
+        commutator identity (the constant block being the identity).  For a
+        1-d array the rows of all its points come component-major, row
+        i*len(xs) + a being row i at xs[a], from one :func:`exp_samples`
+        call at all points u = d_i x_a; one x is the batch of one.
         """
-        if not 0 <= x <= self.length * (1 + 1e-12):
-            raise ValueError(f"edge_profile argument {x} outside [0, {self.length}]")
-        d = self.diag.d
-        rows = np.empty((self.p, self.p), dtype=complex)
-        cache: dict[float, np.ndarray] = {}
-        for i in range(self.p):
-            u = d[i] * x
-            if u not in cache:
-                cache[u] = self.integrated_kernel(u)
-            rows[i, :] = d[i] * cache[u][i, :]
-        return rows
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        if not ((xs >= 0) & (xs <= self.length * (1 + 1e-12))).all():
+            raise ValueError(f"edge_profile arguments outside [0, {self.length}]")
+        n, p, d = self.n, self.p, self.diag.d
+        psi = exp_samples(self.primitive_generator, np.kron(d, xs))[:, :n, n:]
+        comp = np.repeat(np.arange(p), xs.size)
+        out = np.einsum("av,avw->aw", self.theta2.conj().T[comp], psi) \
+            @ self.theta1
+        out[np.arange(comp.size), comp] += 0.5 * d[comp]
+        return out

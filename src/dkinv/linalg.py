@@ -97,13 +97,16 @@ def exp_samples(m, s) -> np.ndarray:
     each s_k, and each sample is e^{cm} times the degree-TAYLOR_DEGREE
     Taylor polynomial of e^{tm} at t = s_k - c, where |t| ||m||_1 <= 1/2.
     Only the anchors go through the Pade ``expm``; the polynomials of all
-    samples are one matrix product.  The TAYLOR_DEGREE products that build
+    samples are one matrix product, and each occupied anchor multiplies
+    its own samples in place.  The TAYLOR_DEGREE products that build
     the polynomial pay off only when they save at least as many Pade
     evaluations, so with fewer samples than anchors plus TAYLOR_DEGREE
     every sample is its own anchor.
     """
     m = _square(m, "exp_samples operand")
     s = np.asarray(s, dtype=float).reshape(-1)
+    if not np.isfinite(s).all():
+        raise ValueError("exp_samples times contain non-finite entries")
     if s.size <= TAYLOR_DEGREE:  # too few to save TAYLOR_DEGREE anchors
         return sla.expm(s[:, None, None] * m)
     scale = np.linalg.norm(m, 1) or 1.0  # any spacing serves m = 0
@@ -119,9 +122,13 @@ def exp_samples(m, s) -> np.ndarray:
     powers[0] = np.eye(size)
     for k in range(1, TAYLOR_DEGREE + 1):
         np.matmul(powers[k - 1], unit / k, out=powers[k])
-    taylor = np.vander(s * scale - ticks, TAYLOR_DEGREE + 1, increasing=True) \
-        @ powers.reshape(TAYLOR_DEGREE + 1, -1)
-    return anchors[(ticks - first).astype(int)] @ taylor.reshape(-1, size, size)
+    taylor = (np.vander(s * scale - ticks, TAYLOR_DEGREE + 1, increasing=True)
+              @ powers.reshape(TAYLOR_DEGREE + 1, -1)).reshape(-1, size, size)
+    slot = (ticks - first).astype(int)
+    for k in np.unique(slot):
+        at = slot == k
+        taylor[at] = anchors[k] @ taylor[at]
+    return taylor
 
 
 def eig_spectrum(m) -> np.ndarray:

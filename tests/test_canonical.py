@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dkinv import canonical, inversion, kernels, linalg
+from dkinv import canonical, linalg
 from dkinv.canonical import (
     DefectiveEigenvalueError,
     HamiltonianGrid,
@@ -299,7 +299,7 @@ def _correction_rebuilding_inverses(kernel):
     for s in range(r.p):
         y = d[s] * x
         middle = proj @ corner_inv - fund.inverse(y) + np.eye(2 * n) - proj
-        direct = r.theta2.conj().T[s, :] @ canonical.mat_exp(
+        direct = r.theta2.conj().T[s, :] @ linalg.mat_exp(
             1j * y * r.beta.conj().T)
         bracket = fund.adj_row[s, :] @ fund.propagated(y) @ middle @ embed
         out[s, :] = (direct + bracket) @ right_factor
@@ -309,23 +309,19 @@ def _correction_rebuilding_inverses(kernel):
 class TestRecoveryCorrectionReuse:
     # Case 9 has d = (2, 1.5, 1), case 7 has d = (2.5, 2.5, 1).
     @pytest.mark.parametrize("case", [8, 6])
-    def test_corner_inverse_built_once(self, case, monkeypatch):
+    def test_corner_inverse_built_once(self, case, expm_slices):
         seed, p, n, d, scale = ACCEPTANCE_CASES[case]
         r = random_realization(seed, p, n, d, 1.0, scale)
         x = 0.8
         kern = inverse_kernel_for_interval(r, x)
         want = _correction_rebuilding_inverses(kern)
         gamma = hamiltonian_factor(r, x)
-        calls = []
-        for module in (canonical, inversion):
-            monkeypatch.setattr(
-                module, "mat_exp",
-                lambda m, _exp=module.mat_exp: calls.append(1) or _exp(m))
+        before = expm_slices[0]
         got = recovery_correction(kern)
-        # One exponential for the direct term and one for the propagated U
+        # One Pade slice for the direct term and one for the propagated U
         # per row; U(d_s x) for d_s < d_1 sits at a cached segment start,
         # and the corner inverse reuses the cached U(a).
-        assert len(calls) == 2 * p
+        assert expm_slices[0] - before == 2 * p
         assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(gamma).max())
 
 
@@ -450,12 +446,12 @@ class TestRecoverHamiltonian:
                                                   monkeypatch):
         # No per-point mat_exp, and a Pade slice count that does not depend
         # on the number of samples (the per-point recovery made about 20
-        # mat_exp calls per sample on this shape).
+        # mat_exp calls per sample on this shape).  No module but linalg
+        # holds mat_exp (test_exports), so refusing it there suffices.
         def refuse(m):
             raise AssertionError("per-point mat_exp in recovery")
 
-        for module in (canonical, inversion, kernels, linalg):
-            monkeypatch.setattr(module, "mat_exp", refuse)
+        monkeypatch.setattr(linalg, "mat_exp", refuse)
         r = bench_shape_realization()
         counts = []
         for samples in (50, 500):

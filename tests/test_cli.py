@@ -2,16 +2,19 @@
 
 import dataclasses
 import json
+import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dkinv import canonical, cli, discretization, inversion
+from dkinv import canonical, cli, discretization, inversion, linalg
 
 from conftest import (
+    bench_shape_realization,
     config_dict,
     random_realization,
     scalar_realization,
@@ -82,6 +85,33 @@ class TestConfigParsing:
         assert cfg.permutation == (1, 0)
         assert cfg.d == (1.7, 1.0)
         assert np.allclose(cfg.theta1, seed10.theta1, atol=0)
+
+    @pytest.mark.parametrize("command", ["weyl", "invert"])
+    @pytest.mark.parametrize("field, value", [
+        ("p", True), ("n", True), ("p", 1.9), ("n", 1.5),
+        ("d", [math.inf]), ("d", [math.nan]), ("l", math.inf)],
+        ids=["p-true", "n-true", "p-1.9", "n-1.5", "d-inf", "d-nan", "l-inf"])
+    def test_invalid_values_refused_before_output(self, field, value,
+                                                  command, tmp_path, capsys):
+        # int() would run p = 1.9 or p = true as p = 1, and json decodes
+        # Infinity and NaN, which would reach the output as numbers.
+        raw = config_dict(scalar_realization())
+        raw[field] = value
+        cfg = write_config(tmp_path, raw)
+        argv = {"weyl": ["weyl", "--config", cfg, "--lambda", "0.3,0.6"],
+                "invert": ["invert", "--config", cfg, "--grid", "8",
+                           "--out", str(tmp_path / "k.csv")]}[command]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_integral_float_counts_accepted(self):
+        raw = config_dict(scalar_realization())
+        raw["p"], raw["n"] = 1.0, 1.0
+        cfg = cli.parse_config_dict(raw)
+        assert (cfg.p, cfg.n) == (1, 1)
 
     def test_malformed_json_cites_line_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -290,6 +320,57 @@ class TestCsvLayout:
             else _reference_recover
         reference(cli.parse_config(path), size, want)
         assert open(got, "rb").read() == open(want, "rb").read()
+
+
+class TestExponentialsThroughLinalg:
+    """Every command gets its matrix exponentials from linalg.exp_samples."""
+
+    @pytest.fixture()
+    def refused(self, monkeypatch):
+        """Refuse linalg.mat_exp, and any dkinv module's copy of it or of
+        scipy's expm; the calls refused are logged, since verify turns the
+        exceptions of a check into sentinel rows."""
+        calls = []
+        mat_exp = linalg.mat_exp
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("matrix exponential outside exp_samples")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "dkinv":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is mat_exp or (
+                        module is not linalg and callable(value)
+                        and getattr(value, "__name__", "") == "expm"):
+                    monkeypatch.setattr(module, key, refuse)
+        return calls
+
+    @pytest.mark.parametrize("argv, code, bound", [
+        (["invert", "--grid", "16"], 0, 100),
+        (["invert", "--grid", "16", "singular"], 2, 20),
+        (["recover", "--samples", "20"], 0, 200),
+        (["verify", "--level", "full"], 0, 400),
+        (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"], 0, 0),
+    ], ids=["invert", "invert-singular", "recover", "verify-full", "weyl"])
+    def test_commands_use_exp_samples(self, argv, code, bound, refused,
+                                      expm_slices, tmp_path, capsys):
+        # Bounds on the Pade slices (68, 18, 162, 300 and 0 measured); one
+        # Pade expm per node and component made 2,400 for verify's S_N
+        # alone.  The singular case tabulates one point at a time.
+        r = singular_scalar_realization() if "singular" in argv \
+            else bench_shape_realization()
+        argv = [a for a in argv if a != "singular"]
+        argv += ["--config", write_config(tmp_path, config_dict(r))]
+        if argv[0] == "verify":
+            argv += ["--report", str(tmp_path / "report.json")]
+        elif argv[0] != "weyl":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == code
+        assert refused == []
+        assert expm_slices[0] <= bound
+        capsys.readouterr()
 
 
 class TestVerify:

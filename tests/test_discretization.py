@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import expm, lu_factor, lu_solve, solve_triangular
 
 from dkinv import discretization, inversion, linalg
 from dkinv.discretization import (
@@ -45,23 +45,29 @@ def _refuse_eigvalsh(*args, **kwargs):
     raise AssertionError("dense eigvalsh called")
 
 
-def _nested_where_operator(r, count):
-    """S_N built with the nested np.where of the original implementation."""
-    from scipy.linalg import expm
+def _pade_samples(gen, ys):
+    """e^{y gen} for every y, each from scipy's Pade expm."""
+    return expm(np.asarray(ys)[:, None, None] * gen)
+
+
+def _nested_where_operator(r, count, exps=linalg.exp_samples):
+    """S_N built with the nested np.where of the original implementation.
+
+    The row and column blocks theta2[:, i]^H e^{i y beta^H} and
+    e^{-i y beta^H} theta1[:, i] at y = d_i x_a take their exponentials
+    from ``exps(gen, ys)``, the stack of e^{y gen}.
+    """
     xs, h = discretization._midpoint_nodes(r.length, count)
-    n, p, d = r.n, r.p, r.diag.d
-    beta_h = r.beta.conj().T
-    row_block = np.empty((p * count, n), dtype=complex)
-    col_block = np.empty((n, p * count), dtype=complex)
-    for i in range(p):
-        args = 1j * (d[i] * xs)[:, None, None] * beta_h[None, :, :]
-        row_block[i * count:(i + 1) * count, :] = np.einsum(
-            "v,avw->aw", np.conj(r.theta2[:, i]), expm(args))
-        col_block[:, i * count:(i + 1) * count] = np.einsum(
-            "avw,w->va", expm(-args), r.theta1[:, i])
+    p, d = r.p, r.diag.d
+    coords = np.kron(d, xs)
+    comp = np.repeat(np.arange(p), count)
+    gen = 1j * r.beta.conj().T
+    row_block = np.einsum("av,avw->aw", r.theta2.conj().T[comp],
+                          exps(gen, coords))
+    col_block = np.einsum("avw,aw->va", exps(gen, -coords),
+                          r.theta1.T[comp])
     upper = row_block @ col_block
     mirror = upper.conj().T
-    coords = np.kron(d, xs)
     diff = coords[:, None] - coords[None, :]
     tol = 1e-13 * d[0] * max(r.length, 1.0)
     kernel = np.where(diff > tol, upper,
@@ -72,9 +78,11 @@ def _nested_where_operator(r, count):
 class TestDiscretizeOperator:
     @pytest.mark.parametrize("case", ["scalar", "seed10", "repeated"])
     def test_matches_nested_where_formula(self, case, request):
-        # The in-place masked build must reproduce the reference bit for bit;
-        # the repeated dilation (d_2 = d_3) puts exact collisions d_i x_a =
-        # d_j x_b off the diagonal, so the averaged branch is exercised.
+        # The in-place masked build must reproduce the reference bit for bit
+        # when both take their exponentials from exp_samples, and agree to
+        # rounding with blocks from one Pade expm per node; the repeated
+        # dilation (d_2 = d_3) puts exact collisions d_i x_a = d_j x_b off
+        # the diagonal, so the averaged branch is exercised.
         if case == "repeated":
             r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
         else:
@@ -83,7 +91,10 @@ class TestDiscretizeOperator:
         want, diff, tol = _nested_where_operator(r, count)
         if case == "repeated":
             assert np.count_nonzero(np.abs(diff) <= tol) > r.p * count
-        assert np.array_equal(discretize_operator(r, count).matrix, want)
+        got = discretize_operator(r, count).matrix
+        assert np.array_equal(got, want)
+        pade, _, _ = _nested_where_operator(r, count, _pade_samples)
+        assert np.abs(got - pade).max() <= 1e-13 * np.abs(pade).max()
 
     def test_zero_data_is_identity(self, zero_data):
         op = discretize_operator(zero_data, 32)

@@ -1,15 +1,19 @@
 """Every exported name resolves, and the CLI imports only what it runs."""
 
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 import dkinv
+from dkinv import linalg
 
 MODULES = ["dkinv"] + [f"dkinv.{m.name}"
                        for m in pkgutil.iter_modules(dkinv.__path__)]
@@ -34,3 +38,14 @@ def test_cli_import_loads_no_quadrature_modules():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "dkinv.linalg"])
+def test_only_linalg_holds_matrix_exponentials(name):
+    # Every e^{sM} comes from linalg.exp_samples: no other module holds
+    # mat_exp or scipy's expm, or names either in its source.
+    module = importlib.import_module(name)
+    held = [key for key, value in vars(module).items()
+            if value is linalg.mat_exp or value is scipy.linalg.expm]
+    assert held == []
+    assert re.findall(r"\b(?:mat_exp|expm)\b", inspect.getsource(module)) == []

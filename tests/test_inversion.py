@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from dkinv import inversion, linalg
+from dkinv.kernels import Realization
 from dkinv.inversion import (
     FundamentalSolution,
     InverseKernel,
@@ -81,10 +82,15 @@ class TestFundamentalSolution:
         # [1.0, 1.7]; breakpoints belong to the segment on their right.
         r = random_realization(10, 2, 2, [1.7, 1.0], scale=0.6)
         f = FundamentalSolution(r)
-        assert f._locate(0.0)[0].level == 3
-        assert f._locate(0.99)[0].level == 3
-        assert f._locate(1.0)[0].level == 2
-        assert f._locate(1.7)[0].level == 2
+
+        def level(y):
+            [(seg, _, _)] = f._segments_at([y])
+            return seg.level
+
+        assert level(0.0) == 3
+        assert level(0.99) == 3
+        assert level(1.0) == 2
+        assert level(1.7) == 2
 
     def test_continuity_across_breakpoints(self):
         # The generator switches at d-breakpoints, but U itself must be
@@ -410,6 +416,24 @@ class TestSingularOperator:
         for x in np.linspace(0.0, 1.0, 9):
             got = h(float(x))[0] / h0
             assert got == pytest.approx(np.exp(-1j * x), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [(2.0, 1.0), (1.5, 1.0)])
+    def test_null_basis_of_rank_one_kernel(self, d):
+        # With theta2 = c theta1 and beta = -1 the kernel is rank one,
+        # c theta1_i theta1_j e^{-i(d_i x - d_j t)}, so S = I + c u u^H with
+        # u_i(x) = theta1_i e^{-i d_i x} is singular at c = -1/||u||^2 =
+        # -0.8, and u spans its kernel: two components on two levels, up to
+        # x = l, where component 2 has left its last segment.
+        th1 = np.array([[1.0, 0.5]], dtype=complex)
+        r = Realization.build(th1, -0.8 * th1, [[-1.0]], list(d), 1.0)
+        fund = FundamentalSolution(r)
+        report = inversion.branch_projector(fund)
+        assert isinstance(report, SingularCornerReport)
+        [h] = inversion.null_basis_functions(fund, report)
+        scale = h(0.0)[0]
+        for x in np.linspace(0.0, 1.0, 9):
+            want = th1[0] * np.exp(-1j * np.array(d) * x)
+            assert np.abs(h(float(x)) / scale - want).max() <= 1e-9
 
     def test_null_function_annihilated_by_discretization(self):
         from dkinv import discretization

@@ -96,6 +96,8 @@ class TestKernel:
         r.kernel(2.0)  # |x| = d_1 l is allowed
         with pytest.raises(ValueError):
             r.kernel(2.1)
+        with pytest.raises(ValueError):  # not a recursion through k(-x)
+            r.kernel(np.nan)
 
 
 class TestIntegratedKernel:
@@ -117,6 +119,8 @@ class TestIntegratedKernel:
     def test_rejects_negative_argument(self, scalar):
         with pytest.raises(ValueError):
             scalar.integrated_kernel(-0.1)
+        with pytest.raises(ValueError):
+            scalar.integrated_kernel(np.nan)
 
     def test_derivative_recovers_kernel(self):
         # Central differences of the integrated kernel converge to the
@@ -151,11 +155,25 @@ class TestEdgeProfile:
         r = Realization.build(z, np.ones((2, 2)), np.eye(2), [2.0, 1.0], 1.0)
         assert np.allclose(r.edge_profile(0.8), r.diag.matrix / 2, atol=0)
 
+    @pytest.mark.parametrize("seed, d", [(5, (3.0, 2.0, 0.5)),
+                                         (4, (2.0, 1.0, 1.0))])
+    def test_rows_match_integrated_kernel(self, seed, d):
+        # The definition, as edge_profile was first written: row i is d_i
+        # times row i of integrated_kernel(d_i x).
+        r = random_realization(seed, 3, 2, d)
+        for x in (0.0, 0.3, 1.0):
+            want = np.array([d_i * r.integrated_kernel(d_i * x)[i]
+                             for i, d_i in enumerate(r.diag.d)])
+            got = r.edge_profile(x)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_domain_gate(self, scalar):
         with pytest.raises(ValueError):
             scalar.edge_profile(-0.01)
         with pytest.raises(ValueError):
             scalar.edge_profile(1.01)
+        with pytest.raises(ValueError):
+            scalar.edge_profile([0.5, np.nan])
 
 
 class TestStructureIdentity:

@@ -68,6 +68,26 @@ def _exp_samples_cases():
     return cases
 
 
+def _gathered_exp_samples(m, s):
+    """exp_samples on its polynomial path, with every sample's anchor
+    gathered into one (N, n, n) stack for a single stacked product."""
+    degree = linalg.TAYLOR_DEGREE
+    scale = np.linalg.norm(m, 1) or 1.0
+    ticks = np.rint(s * scale)
+    first = ticks.min()
+    anchors = expm(((first + np.arange(int(ticks.max() - first) + 1))
+                    / scale)[:, None, None] * m)
+    size, unit = m.shape[0], m / scale
+    powers = np.empty((degree + 1, size, size), dtype=complex)
+    powers[0] = np.eye(size)
+    for k in range(1, degree + 1):
+        np.matmul(powers[k - 1], unit / k, out=powers[k])
+    taylor = np.vander(s * scale - ticks, degree + 1, increasing=True) \
+        @ powers.reshape(degree + 1, -1)
+    return anchors[(ticks - first).astype(int)] \
+        @ taylor.reshape(-1, size, size)
+
+
 class TestExpSamples:
     def test_taylor_degree_is_smallest_meeting_the_bound(self):
         def bound(k):
@@ -87,6 +107,14 @@ class TestExpSamples:
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
+    @pytest.mark.parametrize("m,times", [
+        pytest.param(m, times, id=name) for name, m, times in _exp_samples_cases()])
+    def test_anchor_products_match_gathered_stack(self, m, times):
+        # Multiplying each anchor into its own samples in place gives the
+        # same bits as gathering the anchors into a stack first.
+        assert np.array_equal(linalg.exp_samples(m, times),
+                              _gathered_exp_samples(m, times))
+
     def test_zero_matrix_gives_identity(self):
         got = linalg.exp_samples(np.zeros((3, 3)), np.linspace(-2, 2, 50))
         assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
@@ -100,6 +128,12 @@ class TestExpSamples:
         assert expm_slices[0] - before == len(times)
         for t, g in zip(times, got):
             assert np.array_equal(g, expm(t * m))
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.5] * 20 + [np.inf]])
+    def test_non_finite_times_are_refused(self, times):
+        # As mat_exp refuses a non-finite operand s m.
+        with pytest.raises(ValueError):
+            linalg.exp_samples(np.eye(2), times)
 
     def test_complex_times_are_refused(self):
         with warnings.catch_warnings():
