@@ -27,7 +27,7 @@ from .inversion import (
     SingularCornerReport,
     SingularOperatorError,
     branch_projector,
-    null_basis_functions,
+    null_basis_values,
 )
 from .canonical import (
     DefectiveEigenvalueError,
@@ -67,7 +67,7 @@ __all__ = [
     "hamiltonian_factor",
     "herglotz_data",
     "inverse_kernel_for_interval",
-    "null_basis_functions",
+    "null_basis_values",
     "recover_hamiltonian",
     "recovery_correction",
     "similarity_factor",

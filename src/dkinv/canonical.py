@@ -428,7 +428,7 @@ class SimilarityFactor:
 
     transform: np.ndarray  # L
     inverse: np.ndarray    # closed-form L^{-1}
-    residual: float        # || L^{-1} diag(D,0) L - J gamma^H gamma ||_F
+    residual: float        # || L^{-1} L - I ||_F of the closed form
 
 
 def similarity_factor(gx: np.ndarray, diag: DiagonalStructure) -> SimilarityFactor:
@@ -436,7 +436,10 @@ def similarity_factor(gx: np.ndarray, diag: DiagonalStructure) -> SimilarityFact
 
     The top block of L is D^{-1/2} gamma; the bottom block spans the null
     space of gamma*J, normalized so that -X J X^H = I.  The closed-form
-    inverse is [J gamma^H D^{-1/2}, -J X^H].
+    inverse is [J gamma^H D^{-1/2}, -J X^H].  Its product
+    L^{-1} diag(D, 0) L is J gamma^H gamma by algebra, for any X, so the
+    residual checks what the similarity rests on: that the closed form
+    inverts L, ||L^{-1} L - I||_F.
     """
     gx = as_matrix(gx, "gamma")
     p = diag.p
@@ -469,8 +472,6 @@ def similarity_factor(gx: np.ndarray, diag: DiagonalStructure) -> SimilarityFact
         jmat @ gx.conj().T @ d_half_inv,
         -(jmat @ x_norm.conj().T),
     ])
-    h_const = np.zeros((2 * p, 2 * p), dtype=complex)
-    h_const[:p, :p] = diag.matrix
-    residual = frob(inverse @ h_const @ transform - jmat @ gx.conj().T @ gx)
+    residual = frob(inverse @ transform - np.eye(2 * p))
     return SimilarityFactor(transform=transform, inverse=inverse,
                             residual=float(residual))

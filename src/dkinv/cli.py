@@ -74,11 +74,15 @@ def _pairs(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _is_number(raw) -> bool:
+    """A JSON number: not a string, and not a boolean (bool is an int)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _complex_entry(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return complex(raw)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(v, (int, float)) for v in raw)):
+    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(raw[0], raw[1])
     raise ConfigError(f"{where}: expected [re, im] pair, got {raw!r}")
 
@@ -98,11 +102,12 @@ def _complex_matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
 def parse_config_dict(raw: dict) -> ProblemConfig:
     """Validate a decoded JSON object into a ProblemConfig.
 
-    Dimensions must be consistent: p and n are integral numbers, not
-    booleans, and l and the entries of d are finite (Python's ``json``
-    decodes ``Infinity`` and ``NaN``).  A d that is not non-increasing is
-    re-sorted (stably, descending) together with the matching columns of
-    theta1/theta2; the permutation is recorded and a warning goes to stderr.
+    Dimensions must be consistent: p, n, l and the entries of d are JSON
+    numbers, not booleans or strings; p and n are integral, and l and the
+    entries of d are finite (Python's ``json`` decodes ``Infinity`` and
+    ``NaN``).  A d that is not non-increasing is re-sorted (stably,
+    descending) together with the matching columns of theta1/theta2; the
+    permutation is recorded and a warning goes to stderr.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
@@ -110,12 +115,12 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
                if k not in raw]
     if missing:
         raise ConfigError(f"missing required fields: {', '.join(missing)}")
-    try:
-        p_num, n_num, length = (float(raw[key]) for key in ("p", "n", "l"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"p, n, l must be numeric: {exc}") from exc
-    if isinstance(raw["p"], bool) or isinstance(raw["n"], bool) or not (
-            p_num.is_integer() and n_num.is_integer() and min(p_num, n_num) >= 1):
+    for key in ("p", "n", "l"):
+        if not _is_number(raw[key]):
+            raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
+    p_num, n_num, length = (float(raw[key]) for key in ("p", "n", "l"))
+    if not (p_num.is_integer() and n_num.is_integer()
+            and min(p_num, n_num) >= 1):
         raise ConfigError("p and n must be positive integers")
     p, n = int(p_num), int(n_num)
     if not 0 < length < math.inf:
@@ -123,10 +128,9 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
     d_raw = raw["d"]
     if not isinstance(d_raw, list) or len(d_raw) != p:
         raise ConfigError(f"d must be a list of {p} reals")
-    try:
-        d = [float(v) for v in d_raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"d entries must be real numbers: {exc}") from exc
+    if not all(map(_is_number, d_raw)):
+        raise ConfigError(f"d entries must be numbers, got {d_raw!r}")
+    d = [float(v) for v in d_raw]
     if not all(0 < v < math.inf for v in d):
         raise ConfigError("d entries must be positive and finite")
 
@@ -200,17 +204,18 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
 
     if not kernel.invertible:
         report = kernel.singular_report
-        basis = inversion.null_basis_functions(kernel.fund, report)
-        i_x = np.column_stack([np.tile(np.arange(1, p + 1), grid),
-                               np.repeat(xs, p)])
-        blocks = (np.column_stack([
-            np.full(grid * p, fn_idx), i_x,
-            np.array([func(float(x)) for x in xs]).reshape(-1, 1).view(float),
-        ]) for fn_idx, func in enumerate(basis, start=1))
-        _write_csv(out_path, ("fn", "i", "x", "re", "im"), 2, blocks)
+        values = inversion.null_basis_values(kernel.fund, report, xs)
+        count = len(values)
+        table = np.column_stack([
+            np.repeat(np.arange(1, count + 1), grid * p),
+            np.tile(np.arange(1, p + 1), grid * count),
+            np.tile(np.repeat(xs, p), count),
+            values.reshape(-1, 1).view(float),
+        ])
+        _write_csv(out_path, ("fn", "i", "x", "re", "im"), 2, [table])
         print(
             f"operator is singular (corner rcond {report.rcond:.3e}); "
-            f"wrote {len(basis)} kernel-basis function(s) to {out_path}",
+            f"wrote {count} kernel-basis function(s) to {out_path}",
             file=sys.stderr,
         )
         return 2
@@ -391,15 +396,22 @@ def cmd_verify(cfg: ProblemConfig, level: str, report_path: str) -> int:
     return 0 if not failed else 1
 
 
+def _parse_reals(raw: str, flag: str) -> List[float]:
+    """The comma-separated values of ``flag``, each a finite real."""
+    try:
+        values = [float(v) for v in raw.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag}: values must be finite, got {raw!r}")
+    return values
+
+
 def _parse_lambdas(raw: str) -> List[complex]:
-    parts = [chunk.strip() for chunk in raw.split(",") if chunk.strip()]
-    if len(parts) % 2:
+    values = _parse_reals(raw, "--lambda")
+    if len(values) % 2:
         raise ConfigError(
             "--lambda expects RE,IM[,RE,IM...] (an even number of values)")
-    try:
-        values = [float(v) for v in parts]
-    except ValueError as exc:
-        raise ConfigError(f"--lambda: {exc}") from exc
     return [complex(values[k], values[k + 1])
             for k in range(0, len(values), 2)]
 
@@ -499,8 +511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_verify(cfg, args.level, args.report)
         if args.command == "weyl":
             lambdas = _parse_lambdas(args.lambdas)
-            density = [float(v) for v in args.density.split(",")
-                       if v.strip()] if args.density else []
+            density = _parse_reals(args.density, "--density")
             return cmd_weyl(cfg, lambdas, density)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:

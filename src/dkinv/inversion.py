@@ -14,13 +14,13 @@ inverse is assembled from the fundamental solution U of a piecewise-constant
 
 The corner block being singular is a meaningful outcome, not a failure: it
 comes back as a :class:`SingularCornerReport` and the associated null
-functions of the operator are produced by :func:`null_basis_functions`.
+functions of the operator are evaluated by :func:`null_basis_values`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
     "SingularOperatorError",
     "branch_projector",
     "branch_projectors",
-    "null_basis_functions",
+    "null_basis_values",
 ]
 
 _FUZZ = 1e-12  # relative slack on interval-boundary comparisons
@@ -415,40 +415,23 @@ class InverseKernel:
         return out
 
 
-def null_basis_functions(
+def null_basis_values(
     fund: FundamentalSolution,
     report: SingularCornerReport,
-) -> List[Callable[[float], np.ndarray]]:
-    """Null functions of the operator, one per basis vector of Ker U22(a).
+    xs,
+) -> np.ndarray:
+    """Null functions of the operator at the points ``xs`` of [0, l].
 
-    Each returned callable maps x in [0, l] to the p-vector whose component i
-    is [C(y) U(y) [0; g]]_i at y = d_i x — the dilated-coordinate null
-    function pulled back to the original interval.  C(y) is
-    P(y) [theta2^H, theta1^H] e^{yA}, and P(y) keeps component i at
-    y = d_i x for every x < l, so component i is the row factor of
-    :meth:`FundamentalSolution.left_row` times [0; g]; at x = l, where the
-    segment lookup has moved past component i's last segment, that is its
-    limit from the left.
+    Returns an (r, len(xs), p) array, one slice per basis vector g of
+    Ker U22(a): entry [k, a, i] is [C(y) U(y) [0; g_k]]_i at y = d_i xs[a],
+    the dilated-coordinate null function pulled back to the original
+    interval.  C(y) is P(y) [theta2^H, theta1^H] e^{yA}, and P(y) keeps
+    component i at y = d_i x for every x < l, so component i is the row
+    factor of :meth:`FundamentalSolution.left_rows` times [0; g]; at x = l,
+    where the segment lookup has moved past component i's last segment,
+    that is its limit from the left.
     """
-    r = fund.realization
-    n, p = r.n, r.p
-    comp = np.arange(p)
-    funcs: List[Callable[[float], np.ndarray]] = []
-    for col in range(report.null_basis.shape[1]):
-        tail = np.concatenate([np.zeros(n, dtype=complex),
-                               report.null_basis[:, col]])
-
-        def h(x: float, _tail: np.ndarray = tail) -> np.ndarray:
-            out = np.empty(p, dtype=complex)
-            ys = fund._dilated(comp, np.full(p, x))
-            for seg, at, off in fund._segments_at(ys):
-                # All p rows in one product, not left_rows' one-row ones:
-                # the two round differently in the last bit, and the
-                # singular table of `invert` keeps its bytes.
-                rows = fund.adj_row @ exp_samples(seg.gen_cross, off) \
-                    @ seg.right_cache
-                out[at] = (rows @ _tail)[np.arange(off.size), comp[at]]
-            return out
-
-        funcs.append(h)
-    return funcs
+    xs = np.asarray(xs, dtype=float)
+    basis = report.null_basis
+    values = fund.left_rows(xs) @ np.vstack([np.zeros_like(basis), basis])
+    return values.reshape(fund.realization.p, xs.size, -1).transpose(2, 1, 0)

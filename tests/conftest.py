@@ -124,6 +124,16 @@ def singular_scalar_realization():
     return kernels.Realization.build(one, -one, -one, [1.0], 1.0)
 
 
+def two_level_singular_realization(d=(2.0, 1.0)):
+    """A rank-one kernel on two levels: theta2 = -0.8 theta1, beta = -1.
+
+    S = I + c u u^H with u_i(x) = theta1_i e^{-i d_i x} and c = -0.8 =
+    -1/||u||^2, so S is singular and u spans its kernel.
+    """
+    th1 = np.array([[1.0, 0.5]], dtype=complex)
+    return kernels.Realization.build(th1, -0.8 * th1, [[-1.0]], list(d), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # CLI config helpers
 # ---------------------------------------------------------------------------

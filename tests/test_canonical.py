@@ -578,6 +578,18 @@ class TestSimilarityFactor:
         got = fac.inverse @ h0 @ fac.transform
         assert np.abs(got - want).max() <= 1e-9
 
+    def test_residual_detects_wrong_inverse(self):
+        # A gamma off the recovered one by 3e-7 still passes the metric
+        # gate, but its closed-form L^{-1} no longer inverts L; the
+        # similarity itself would hold by algebra for any such gamma.
+        r = bench_shape_realization()
+        gm = hamiltonian_factor(r, 1.0)
+        rng = np.random.default_rng(0)
+        gm = gm + 3e-7 * (rng.standard_normal(gm.shape)
+                          + 1j * rng.standard_normal(gm.shape))
+        fac = similarity_factor(gm, r.diag)
+        assert fac.residual > 1e-6
+
     def test_rejects_invalid_factor(self, scalar):
         with pytest.raises(ValueError):
             similarity_factor(np.ones((1, 2), dtype=complex), scalar.diag)

@@ -19,6 +19,7 @@ from conftest import (
     random_realization,
     scalar_realization,
     singular_scalar_realization,
+    two_level_singular_realization,
     write_config,
     zero_realization,
 )
@@ -89,12 +90,18 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command", ["weyl", "invert"])
     @pytest.mark.parametrize("field, value", [
         ("p", True), ("n", True), ("p", 1.9), ("n", 1.5),
-        ("d", [math.inf]), ("d", [math.nan]), ("l", math.inf)],
-        ids=["p-true", "n-true", "p-1.9", "n-1.5", "d-inf", "d-nan", "l-inf"])
+        ("d", [math.inf]), ("d", [math.nan]), ("l", math.inf),
+        ("theta1", [[True]]), ("theta1", [[[True, False]]]),
+        ("l", True), ("d", [True]), ("l", "1.0"), ("d", ["1.0"]),
+        ("p", "1"), ("n", "1")],
+        ids=["p-true", "n-true", "p-1.9", "n-1.5", "d-inf", "d-nan", "l-inf",
+             "theta1-true", "theta1-pair-true", "l-true", "d-true",
+             "l-string", "d-string", "p-string", "n-string"])
     def test_invalid_values_refused_before_output(self, field, value,
                                                   command, tmp_path, capsys):
-        # int() would run p = 1.9 or p = true as p = 1, and json decodes
-        # Infinity and NaN, which would reach the output as numbers.
+        # int() would run p = 1.9 or p = true as p = 1, float() would read
+        # true and "1.0" as numbers, and json decodes Infinity and NaN,
+        # which would reach the output as numbers.
         raw = config_dict(scalar_realization())
         raw[field] = value
         cfg = write_config(tmp_path, raw)
@@ -254,12 +261,11 @@ def _reference_invert(cfg, grid, path):
     xs = (np.arange(grid) + 0.5) * (r.length / grid)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if not kernel.invertible:
-            basis = inversion.null_basis_functions(kernel.fund,
-                                                   kernel.singular_report)
+            basis = inversion.null_basis_values(kernel.fund,
+                                                kernel.singular_report, xs)
             fh.write("fn,i,x,re,im\n")
-            for fn_idx, func in enumerate(basis, start=1):
-                for x in xs:
-                    vec = func(float(x))
+            for fn_idx, values in enumerate(basis, start=1):
+                for x, vec in zip(xs, values):
                     for i in range(r.p):
                         fh.write(f"{fn_idx},{i + 1},{_f(x)},"
                                  f"{_f(vec[i].real)},{_f(vec[i].imag)}\n")
@@ -349,19 +355,23 @@ class TestExponentialsThroughLinalg:
 
     @pytest.mark.parametrize("argv, code, bound", [
         (["invert", "--grid", "16"], 0, 100),
-        (["invert", "--grid", "16", "singular"], 2, 20),
+        (["invert", "--grid", "128", "singular"], 2, 8),
+        (["invert", "--grid", "128", "two-level"], 2, 16),
         (["recover", "--samples", "20"], 0, 200),
         (["verify", "--level", "full"], 0, 400),
         (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"], 0, 0),
-    ], ids=["invert", "invert-singular", "recover", "verify-full", "weyl"])
+    ], ids=["invert", "invert-singular", "invert-two-level", "recover",
+            "verify-full", "weyl"])
     def test_commands_use_exp_samples(self, argv, code, bound, refused,
                                       expm_slices, tmp_path, capsys):
-        # Bounds on the Pade slices (68, 18, 162, 300 and 0 measured); one
-        # Pade expm per node and component made 2,400 for verify's S_N
-        # alone.  The singular case tabulates one point at a time.
-        r = singular_scalar_realization() if "singular" in argv \
-            else bench_shape_realization()
-        argv = [a for a in argv if a != "singular"]
+        # Bounds on the Pade slices (68, 5, 11, 162, 300 and 0 measured);
+        # one Pade expm per node and component made 2,400 for verify's S_N
+        # alone, and one null-function evaluation per grid point 130 and
+        # 261 for the singular tables.
+        special = {"singular": singular_scalar_realization,
+                   "two-level": two_level_singular_realization}
+        r = special.get(argv[-1], bench_shape_realization)()
+        argv = [a for a in argv if a not in special]
         argv += ["--config", write_config(tmp_path, config_dict(r))]
         if argv[0] == "verify":
             argv += ["--report", str(tmp_path / "report.json")]
@@ -536,6 +546,17 @@ class TestWeyl:
         assert cli.main(["weyl", "--config", scalar_cfg,
                          "--lambda", "0,abc"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "0.3,0.6,nan,1"], ["--lambda", "0.3,0.6,inf,0"],
+        ["--lambda", "0.3,0.6", "--density", "0.0,nan"]],
+        ids=["lambda-nan", "lambda-inf", "density-nan"])
+    def test_non_finite_values_refused_before_output(self, scalar_cfg,
+                                                     flags, capsys):
+        assert cli.main(["weyl", "--config", scalar_cfg] + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and flags[-2] in err
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -580,13 +601,14 @@ def _readme_command_line():
 
 
 # `verify --level full` on the README example, recorded with the dense
-# per-lambda solves of the earlier matrizant: (value, pass) per check.
+# per-lambda solves of the earlier matrizant, and the similarity row as
+# ||L^{-1} L - I||_F: (value, pass) per check.
 _README_FULL_REPORT = {
     "composition": (0.0021145144670379557, True),
     "gamma_metric": (7.763457343831856e-15, True),
     "j_unitarity": (1.0987541673720122e-16, True),
     "positivity_min_eig": (-0.5232745250418815, True),
-    "similarity": (8.384297404680616e-16, True),
+    "similarity": (9.445291352680083e-15, True),
     "structure_identity": (8.372114093586462e-17, True),
     "weyl_inequality_margin": (0.0, True),
 }

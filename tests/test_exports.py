@@ -14,6 +14,7 @@ import scipy.linalg
 
 import dkinv
 from dkinv import linalg
+from dkinv.inversion import FundamentalSolution
 
 MODULES = ["dkinv"] + [f"dkinv.{m.name}"
                        for m in pkgutil.iter_modules(dkinv.__path__)]
@@ -49,3 +50,13 @@ def test_only_linalg_holds_matrix_exponentials(name):
             if value is linalg.mat_exp or value is scipy.linalg.expm]
     assert held == []
     assert re.findall(r"\b(?:mat_exp|expm)\b", inspect.getsource(module)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_fundamental_solution_walks_segments(name):
+    # FundamentalSolution's methods are the one evaluator of U: no other
+    # dkinv code looks up its segments, it calls left_rows, right_cols or
+    # value instead.
+    source = inspect.getsource(importlib.import_module(name))
+    source = source.replace(inspect.getsource(FundamentalSolution), "")
+    assert re.findall(r"\b_segments_at\b", source) == []

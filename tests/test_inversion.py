@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from dkinv import inversion, linalg
-from dkinv.kernels import Realization
 from dkinv.inversion import (
     FundamentalSolution,
     InverseKernel,
@@ -19,6 +18,7 @@ from conftest import (
     random_realization,
     scalar_realization,
     singular_scalar_realization,
+    two_level_singular_realization,
     zero_realization,
 )
 
@@ -408,13 +408,14 @@ class TestSingularOperator:
         r = singular_scalar_realization()
         fund = FundamentalSolution(r)
         report = inversion.branch_projector(fund)
-        basis = inversion.null_basis_functions(fund, report)
+        xs = np.linspace(0.0, 1.0, 9)
+        basis = inversion.null_basis_values(fund, report, xs)
         assert len(basis) == 1
         h = basis[0]
-        h0 = h(0.0)[0]
+        h0 = h[0, 0]
         assert abs(h0) > 1e-12
-        for x in np.linspace(0.0, 1.0, 9):
-            got = h(float(x))[0] / h0
+        for x, row in zip(xs, h):
+            got = row[0] / h0
             assert got == pytest.approx(np.exp(-1j * x), abs=1e-9)
 
     @pytest.mark.parametrize("d", [(2.0, 1.0), (1.5, 1.0)])
@@ -424,25 +425,25 @@ class TestSingularOperator:
         # u_i(x) = theta1_i e^{-i d_i x} is singular at c = -1/||u||^2 =
         # -0.8, and u spans its kernel: two components on two levels, up to
         # x = l, where component 2 has left its last segment.
-        th1 = np.array([[1.0, 0.5]], dtype=complex)
-        r = Realization.build(th1, -0.8 * th1, [[-1.0]], list(d), 1.0)
+        r = two_level_singular_realization(d)
         fund = FundamentalSolution(r)
         report = inversion.branch_projector(fund)
         assert isinstance(report, SingularCornerReport)
-        [h] = inversion.null_basis_functions(fund, report)
-        scale = h(0.0)[0]
-        for x in np.linspace(0.0, 1.0, 9):
-            want = th1[0] * np.exp(-1j * np.array(d) * x)
-            assert np.abs(h(float(x)) / scale - want).max() <= 1e-9
+        xs = np.linspace(0.0, 1.0, 9)
+        [h] = inversion.null_basis_values(fund, report, xs)
+        scale = h[0, 0]
+        for x, row in zip(xs, h):
+            want = r.theta1[0] * np.exp(-1j * np.array(d) * x)
+            assert np.abs(row / scale - want).max() <= 1e-9
 
     def test_null_function_annihilated_by_discretization(self):
         from dkinv import discretization
         r = singular_scalar_realization()
         fund = FundamentalSolution(r)
-        basis = inversion.null_basis_functions(
-            fund, inversion.branch_projector(fund))
         op = discretization.discretize_operator(r, 400)
-        h = np.array([basis[0](float(x))[0] for x in op.nodes])
+        basis = inversion.null_basis_values(
+            fund, inversion.branch_projector(fund), op.nodes)
+        h = basis[0][:, 0]
         ratio = np.linalg.norm(op.matrix @ h) / np.linalg.norm(h)
         assert ratio <= 1e-6
 
