@@ -75,8 +75,10 @@ def _pairs(m: np.ndarray) -> list:
 
 
 def _is_number(raw) -> bool:
-    """A JSON number: not a string, and not a boolean (bool is an int)."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    """A finite JSON number: not a string, not a boolean (bool is an int),
+    not ``Infinity`` or ``NaN``, and not an integer too large for a float."""
+    return (isinstance(raw, (int, float)) and not isinstance(raw, bool)
+            and abs(raw) <= sys.float_info.max)
 
 
 def _complex_entry(raw, where: str) -> complex:
@@ -84,7 +86,8 @@ def _complex_entry(raw, where: str) -> complex:
         return complex(raw)
     if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(raw[0], raw[1])
-    raise ConfigError(f"{where}: expected [re, im] pair, got {raw!r}")
+    raise ConfigError(
+        f"{where}: expected [re, im] pair of finite numbers, got {raw!r}")
 
 
 def _complex_matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
@@ -102,12 +105,13 @@ def _complex_matrix(raw, rows: int, cols: int, name: str) -> np.ndarray:
 def parse_config_dict(raw: dict) -> ProblemConfig:
     """Validate a decoded JSON object into a ProblemConfig.
 
-    Dimensions must be consistent: p, n, l and the entries of d are JSON
-    numbers, not booleans or strings; p and n are integral, and l and the
-    entries of d are finite (Python's ``json`` decodes ``Infinity`` and
-    ``NaN``).  A d that is not non-increasing is re-sorted (stably,
-    descending) together with the matching columns of theta1/theta2; the
-    permutation is recorded and a warning goes to stderr.
+    Dimensions must be consistent: p, n, l, the entries of d and the
+    complex entries are finite JSON numbers (not booleans or strings;
+    Python's ``json`` decodes ``Infinity``, ``NaN`` and integers of any
+    size); p and n are positive integers, and l and d are positive.  A d
+    that is not non-increasing is re-sorted (stably, descending) together
+    with the matching columns of theta1/theta2; the permutation is
+    recorded and a warning goes to stderr.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
@@ -117,22 +121,23 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
         raise ConfigError(f"missing required fields: {', '.join(missing)}")
     for key in ("p", "n", "l"):
         if not _is_number(raw[key]):
-            raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
+            raise ConfigError(
+                f"{key} must be a finite number, got {raw[key]!r}")
     p_num, n_num, length = (float(raw[key]) for key in ("p", "n", "l"))
     if not (p_num.is_integer() and n_num.is_integer()
             and min(p_num, n_num) >= 1):
         raise ConfigError("p and n must be positive integers")
     p, n = int(p_num), int(n_num)
-    if not 0 < length < math.inf:
-        raise ConfigError("l must be positive and finite")
+    if not length > 0:
+        raise ConfigError("l must be positive")
     d_raw = raw["d"]
     if not isinstance(d_raw, list) or len(d_raw) != p:
         raise ConfigError(f"d must be a list of {p} reals")
     if not all(map(_is_number, d_raw)):
-        raise ConfigError(f"d entries must be numbers, got {d_raw!r}")
+        raise ConfigError(f"d entries must be finite numbers, got {d_raw!r}")
     d = [float(v) for v in d_raw]
-    if not all(0 < v < math.inf for v in d):
-        raise ConfigError("d entries must be positive and finite")
+    if not all(v > 0 for v in d):
+        raise ConfigError("d entries must be positive")
 
     theta1 = _complex_matrix(raw["theta1"], n, p, "theta1")
     theta2 = _complex_matrix(raw["theta2"], n, p, "theta2")
@@ -174,20 +179,22 @@ def parse_config(path: str) -> ProblemConfig:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, header: Sequence[str], index_cols: int,
-               blocks: Iterable[np.ndarray]) -> None:
-    """Write CSV rows one block at a time, so only one block is ever text.
+def _write_csv(path: str, header: Sequence[str], heads: Sequence[str],
+               chunks: Iterable[Tuple[str, np.ndarray]]) -> None:
+    """Write CSV lines one chunk at a time, so only one chunk is ever text.
 
-    A block is a 2-d float array with one column per header name.  The
-    first ``index_cols`` columns are written with %d and the rest with
-    %.17g, so equal runs produce byte-identical files.
+    A chunk ``(lead, cells)`` is ``len(heads)`` lines: line k is the text
+    ``lead + heads[k]`` followed by row k of the 2-d float array ``cells``
+    in %.17g.  The caller formats the text columns once; each chunk is
+    one template filled by one ``%``, so only the float cells are
+    formatted here, and equal runs produce byte-identical files.
     """
-    row = ",".join(["%d"] * index_cols
-                   + ["%.17g"] * (len(header) - index_cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            fh.writelines(row % tuple(values) for values in block.tolist())
+        for lead, cells in chunks:
+            tail = ",%.17g" * cells.shape[1] + "\n"
+            template = lead + (tail + lead).join(heads) + tail
+            fh.write(template % tuple(cells.ravel().tolist()))
 
 
 def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
@@ -201,18 +208,16 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
     kernel = inversion.InverseKernel.from_realization(r)
     xs = (np.arange(grid) + 0.5) * (r.length / grid)
     p = r.p
+    cols = ["%.17g" % x for x in xs.tolist()]
 
     if not kernel.invertible:
         report = kernel.singular_report
         values = inversion.null_basis_values(kernel.fund, report, xs)
         count = len(values)
-        table = np.column_stack([
-            np.repeat(np.arange(1, count + 1), grid * p),
-            np.tile(np.arange(1, p + 1), grid * count),
-            np.tile(np.repeat(xs, p), count),
-            values.reshape(-1, 1).view(float),
-        ])
-        _write_csv(out_path, ("fn", "i", "x", "re", "im"), 2, [table])
+        cells = values.reshape(count, -1, 1).view(float)
+        heads = [f"{i},{x}" for x in cols for i in range(1, p + 1)]
+        _write_csv(out_path, ("fn", "i", "x", "re", "im"), heads,
+                   ((f"{fn},", c) for fn, c in enumerate(cells, start=1)))
         print(
             f"operator is singular (corner rcond {report.rcond:.3e}); "
             f"wrote {count} kernel-basis function(s) to {out_path}",
@@ -220,12 +225,12 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
         )
         return 2
 
-    values = kernel.block_values(xs, xs)
-    blocks = (np.column_stack([
-        np.full((grid, 3), (i + 1, j + 1, xs[a])), xs,
-        values[i * grid + a, j * grid:(j + 1) * grid].reshape(-1, 1).view(float),
-    ]) for i in range(p) for j in range(p) for a in range(grid))
-    _write_csv(out_path, ("i", "j", "x", "t", "re", "im"), 2, blocks)
+    # cells[i, a, j] is block (i, j) at x = xs[a]: one grid row, t-major.
+    cells = kernel.block_values(xs, xs).reshape(p, grid, p, grid, 1).view(
+        float)
+    _write_csv(out_path, ("i", "j", "x", "t", "re", "im"), cols,
+               ((f"{i + 1},{j + 1},{cols[a]},", cells[i, a, j])
+                for i in range(p) for j in range(p) for a in range(grid)))
     return 0
 
 
@@ -262,10 +267,11 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
     header = ["x"] + [f"{name}_{part}" for name in names
                       for part in ("re", "im")]
     # Column-major entries; the float view splits each into re, im.
-    table = np.column_stack([grid_data.xs] + [
+    cells = np.column_stack([
         m.transpose(0, 2, 1).reshape(samples, -1).view(float)
         for m in (grid_data.gammas, grid_data.hams)])
-    _write_csv(out_path, header, 0, [table])
+    heads = ["%.17g" % x for x in grid_data.xs.tolist()]
+    _write_csv(out_path, header, heads, [("", cells)])
     return 0
 
 
@@ -514,10 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             density = _parse_reals(args.density, "--density")
             return cmd_weyl(cfg, lambdas, density)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError is a ValueError; OSError is an --out or --report path
+        # that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,7 @@ import math
 import re
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,19 @@ def singular_cfg(tmp_path):
                         "singular.json")
 
 
+@pytest.fixture()
+def two_level_cfg(tmp_path):
+    return write_config(tmp_path,
+                        config_dict(two_level_singular_realization()),
+                        "two_level.json")
+
+
+@pytest.fixture()
+def bench_cfg(tmp_path):
+    return write_config(tmp_path, config_dict(bench_shape_realization()),
+                        "bench.json")
+
+
 class TestConfigParsing:
     def test_missing_field_reported(self):
         raw = config_dict(scalar_realization())
@@ -93,15 +107,18 @@ class TestConfigParsing:
         ("d", [math.inf]), ("d", [math.nan]), ("l", math.inf),
         ("theta1", [[True]]), ("theta1", [[[True, False]]]),
         ("l", True), ("d", [True]), ("l", "1.0"), ("d", ["1.0"]),
-        ("p", "1"), ("n", "1")],
+        ("p", "1"), ("n", "1"), ("l", 10 ** 400), ("d", [10 ** 400]),
+        ("p", 10 ** 400), ("theta1", [[[1, 10 ** 400]]])],
         ids=["p-true", "n-true", "p-1.9", "n-1.5", "d-inf", "d-nan", "l-inf",
              "theta1-true", "theta1-pair-true", "l-true", "d-true",
-             "l-string", "d-string", "p-string", "n-string"])
+             "l-string", "d-string", "p-string", "n-string", "l-huge",
+             "d-huge", "p-huge", "theta1-huge"])
     def test_invalid_values_refused_before_output(self, field, value,
                                                   command, tmp_path, capsys):
         # int() would run p = 1.9 or p = true as p = 1, float() would read
-        # true and "1.0" as numbers, and json decodes Infinity and NaN,
-        # which would reach the output as numbers.
+        # true and "1.0" as numbers, json decodes Infinity and NaN, which
+        # would reach the output as numbers, and float() of a JSON integer
+        # beyond the float range raises OverflowError.
         raw = config_dict(scalar_realization())
         raw[field] = value
         cfg = write_config(tmp_path, raw)
@@ -184,6 +201,19 @@ class TestInvert:
     def test_grid_must_be_positive(self, scalar_cfg, tmp_path):
         assert cli.main(["invert", "--config", scalar_cfg, "--grid", "0",
                          "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_table_is_written_as_it_is_formatted(self, bench_cfg, tmp_path):
+        # The 147k-line table never exists as text all at once: the traced
+        # peak (the kernel values included) stays below the file's size.
+        out = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            assert cli.main(["invert", "--config", bench_cfg, "--grid", "128",
+                             "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 class TestRecover:
@@ -311,9 +341,13 @@ def _reference_recover(cfg, samples, path):
 class TestCsvLayout:
     @pytest.mark.parametrize("command, cfg_name, size, code", [
         ("invert", "seed10_cfg", 8, 0),
+        ("invert", "seed10_cfg", 64, 0),
+        ("invert", "bench_cfg", 64, 0),
         ("invert", "singular_cfg", 8, 2),
+        ("invert", "two_level_cfg", 64, 2),
         ("recover", "seed10_cfg", 6, 0),
         ("recover", "scalar_cfg", 6, 0),
+        ("recover", "bench_cfg", 50, 0),
     ])
     def test_matches_reference_writer(self, command, cfg_name, size, code,
                                       request, tmp_path):
@@ -326,6 +360,36 @@ class TestCsvLayout:
             else _reference_recover
         reference(cli.parse_config(path), size, want)
         assert open(got, "rb").read() == open(want, "rb").read()
+
+    def test_writer_formats_like_each_cell(self, tmp_path):
+        # Signed zero, subnormals, the float range's edge, exact and
+        # inexact short values, and values that need all 17 digits.
+        values = [-0.0, 5e-324, 1e-310, 1e308, 2.0, 0.1, 0.1 + 0.2, 1 / 3,
+                  -1e308, -5e-324, 123456789.125, -2.5e-17]
+        cells = np.array(values).reshape(-1, 2)
+        heads = ["h1", "h2,x", "3"]
+        chunks = [("a,", cells[:3]), ("", cells[3:])]
+        path = tmp_path / "cells.csv"
+        cli._write_csv(str(path), ("k", "re", "im"), heads, chunks)
+        want = "k,re,im\n" + "".join(
+            f"{lead}{head},{_f(a)},{_f(b)}\n"
+            for lead, block in chunks for head, (a, b) in zip(heads, block))
+        assert path.read_bytes() == want.encode()
+        assert "a,h1,-0,4.9406564584124654e-324\n" in want  # signed zero
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, flag", [
+        ("invert", "--out"), ("recover", "--out"), ("verify", "--report")])
+    def test_missing_directory_is_input_error(self, command, flag, scalar_cfg,
+                                              tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        assert cli.main([command, "--config", scalar_cfg,
+                         flag, str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
 
 
 class TestExponentialsThroughLinalg:
