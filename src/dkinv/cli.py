@@ -28,9 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,6 +170,8 @@ def parse_config(path: str) -> ProblemConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer beyond int's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         return parse_config_dict(raw)
     except ConfigError as exc:
@@ -195,6 +198,15 @@ def _write_csv(path: str, header: Sequence[str], heads: Sequence[str],
             tail = ",%.17g" * cells.shape[1] + "\n"
             template = lead + (tail + lead).join(heads) + tail
             fh.write(template % tuple(cells.ravel().tolist()))
+
+
+def _require_writable(path: str) -> None:
+    """Fail on an unwritable output ``path`` before the work that fills it,
+    and leave the path as it was: an existing file is opened for appending."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
@@ -275,8 +287,11 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
     return 0
 
 
+# Per level: Nystrom nodes, sample points, composition tol, Weyl lambdas.
 _VERIFY_LAMBDAS = (0.3 + 0.6j, -0.4 + 0.9j, 1.1 + 0.5j, 0.2 + 1.4j,
                    -0.9 + 0.7j)
+_VERIFY_LEVELS = {"quick": (100, 10, 2e-1, _VERIFY_LAMBDAS[:2]),
+                  "full": (400, 20, 5e-2, _VERIFY_LAMBDAS)}
 
 
 def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
@@ -284,122 +299,100 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
 
     Every check reports {value, tol, pass} with the uniform rule
     pass = (value <= tol); the positivity entry stores the negated minimum
-    eigenvalue so the rule applies unchanged.  A check that cannot run
-    stores a 1e99 sentinel value and an "error" field naming the exception
-    that stopped it.  The inverse kernel and the Nystrom matrix S_N are
-    built once per run and shared by the checks that need them; the LU
-    factor of S_N is built inside ``discrete_matrizant``, for its one check.
+    eigenvalue so the rule applies unchanged.  A check that raises stores a
+    1e99 sentinel value and an "error" field naming the exception.  The
+    inverse kernel, S_N and the recovered gammas are each built at most once;
+    a failed build is the error of every check that needs it.
     """
-    quick = level == "quick"
-    count = 100 if quick else 400
-    points = 10 if quick else 20
+    count, points, comp_tol, lams = _VERIFY_LEVELS[level]
     r = cfg.realization()
+    ex = exchange_j(r.p)
     checks: Dict[str, dict] = {}
 
-    def record(name: str, value: float, tol: float,
-               error: Optional[Exception] = None) -> None:
-        checks[name] = {
-            "value": float(value),
-            "tol": float(tol),
-            "pass": bool(value <= tol),
-        }
-        if error is not None:
-            checks[name]["error"] = f"{type(error).__name__}: {error}"
+    def check(name: str, tol: float, compute: Callable[[], float]) -> None:
+        try:
+            entry = {"value": float(compute())}
+        except Exception as exc:
+            entry = {"value": 1e99, "error": f"{type(exc).__name__}: {exc}"}
+        entry.update({"tol": float(tol), "pass": entry["value"] <= tol})
+        checks[name] = entry
 
-    # Structure identity of the realization data.
-    id_tol = 1e-10 * (1.0 + frob(r.beta))
-    record("structure_identity", r.identity_residual(), id_tol)
-    identity_ok = checks["structure_identity"]["pass"]
+    def build(make: Callable[[], object]) -> object:
+        try:
+            return make()
+        except Exception as exc:
+            return exc
+
+    def need(built):
+        if isinstance(built, Exception):
+            raise built
+        return built
+
+    check("structure_identity", 1e-10 * (1.0 + frob(r.beta)),
+          r.identity_residual)
 
     # J-unitarity of the fundamental solution along the interval.
-    kernel = inversion.InverseKernel.from_realization(r)
-    fund = kernel.fund
-    jmat = fund.j_matrix
-    worst = 0.0
-    for y in np.linspace(0.0, fund.interval, points):
-        u = fund.value(float(y))
-        gap = frob(u.conj().T @ jmat @ u - jmat) / (1.0 + frob(u) ** 2)
-        worst = max(worst, gap)
-    record("j_unitarity", worst, 1e-9)
+    kernel = build(lambda: inversion.InverseKernel.from_realization(r))
 
-    # Composition T_N S_N = I at the level's grid size; T_N lives only
-    # inside composition_residual, so only S_N stays alive for the checks
-    # below.
-    s_op = discretization.discretize_operator(r, count)
-    comp_tol = 2e-1 if quick else 5e-2
-    try:
-        kernel._require_invertible()
-        record("composition",
-               discretization.composition_residual(kernel, s_op), comp_tol)
-    except Exception as exc:
-        record("composition", 1e99, comp_tol, exc)
+    def j_unitarity() -> float:
+        fund = need(kernel).fund
+        jmat = fund.j_matrix
+        us = map(fund.value, np.linspace(0.0, fund.interval, points).tolist())
+        return max(0.0, *(frob(u.conj().T @ jmat @ u - jmat)
+                          / (1.0 + frob(u) ** 2) for u in us))
 
-    # Positivity of the symmetrized discretized operator.
-    try:
-        low, _ = discretization.positivity_spectrum(s_op)
-        record("positivity_min_eig", -low, 0.0)
-    except ValueError as exc:
-        record("positivity_min_eig", 1e99, 0.0, exc)
+    check("j_unitarity", 1e-9, j_unitarity)
 
-    # Recovery checks only make sense under the structure identity.
-    if identity_ok:
-        xs = np.linspace(r.length / points, r.length, points)
-        try:
-            grid_data = canonical.recover_hamiltonian(r, xs)
-            gamma_gap = 0.0
-            sim_gap = 0.0
-            ex = exchange_j(r.p)
-            for gm in grid_data.gammas:
-                gamma_gap = max(gamma_gap, frob(
-                    gm @ ex @ gm.conj().T - r.diag.matrix))
-                sim_gap = max(
-                    sim_gap,
-                    canonical.similarity_factor(gm, r.diag).residual)
-            record("gamma_metric", gamma_gap, 1e-7)
-            record("similarity", sim_gap, 1e-6)
-        except Exception as exc:
-            record("gamma_metric", 1e99, 1e-7, exc)
-            record("similarity", 1e99, 1e-6, exc)
+    # Composition T_N S_N = I at the level's grid size (T_N, which refuses a
+    # non-invertible kernel, lives only inside composition_residual), and
+    # positivity of the (Hermitian) S_N.
+    s_op = build(lambda: discretization.discretize_operator(r, count))
+    check("composition", comp_tol, lambda: discretization.composition_residual(
+        need(kernel), need(s_op)))
+    check("positivity_min_eig", 0.0,
+          lambda: -discretization.positivity_spectrum(need(s_op))[0])
 
-        # Weyl inequality margin via the discrete transfer function: the
-        # accumulated energy stays below its bound iff the J-form of the
-        # propagated Weyl column stays nonnegative.
-        lams = _VERIFY_LAMBDAS[:2] if quick else _VERIFY_LAMBDAS
-        try:
-            margin = 0.0
-            ex = exchange_j(r.p)
-            wmats = discretization.discrete_matrizant(r, s_op, lams)
-            for lam, wmat in zip(lams, wmats):
-                phi = canonical.weyl_value(r, lam)
-                column = np.vstack([np.eye(r.p), -1j * phi])
-                prop = wmat @ column
-                gap = float(np.trace(prop.conj().T @ ex @ prop).real)
-                rhs = float(np.trace((phi - phi.conj().T) / 2j).real
-                            / lam.imag)
-                margin = max(margin, -gap / (2 * lam.imag * max(abs(rhs),
-                                                                1e-30)))
-            record("weyl_inequality_margin", margin, 1e-3)
-        except Exception as exc:
-            record("weyl_inequality_margin", 1e99, 1e-3, exc)
+    # Recovery checks only make sense under the structure identity, and on
+    # an interval whose inverse kernel could be built.
+    if not checks["structure_identity"]["pass"]:
+        return checks
+    xs = np.linspace(r.length / points, r.length, points)
+    gammas = (kernel if isinstance(kernel, Exception) else
+              build(lambda: canonical.recover_hamiltonian(r, xs).gammas))
+    check("gamma_metric", 1e-7, lambda: max(0.0, *(
+        frob(gm @ ex @ gm.conj().T - r.diag.matrix) for gm in need(gammas))))
+    check("similarity", 1e-6, lambda: max(0.0, *(
+        canonical.similarity_factor(gm, r.diag).residual
+        for gm in need(gammas))))
+
+    # Weyl inequality margin via the discrete transfer function: the
+    # accumulated energy stays below its bound iff the J-form of the
+    # propagated Weyl column stays nonnegative.
+    def weyl_margin() -> float:
+        margin = 0.0
+        wmats = discretization.discrete_matrizant(r, need(s_op), lams)
+        for lam, wmat in zip(lams, wmats):
+            phi = canonical.weyl_value(r, lam)
+            prop = wmat @ np.vstack([np.eye(r.p), -1j * phi])
+            gap = float(np.trace(prop.conj().T @ ex @ prop).real)
+            rhs = float(np.trace((phi - phi.conj().T) / 2j).real / lam.imag)
+            margin = max(margin, -gap / (2 * lam.imag * max(abs(rhs), 1e-30)))
+        return margin
+
+    check("weyl_inequality_margin", 1e-3, weyl_margin)
     return checks
 
 
 def cmd_verify(cfg: ProblemConfig, level: str, report_path: str) -> int:
     """Run the invariant suite and write the JSON report; 0 iff all pass."""
-    if level not in ("quick", "full"):
-        print(f"error: unknown level {level!r}", file=sys.stderr)
-        return 1
     checks = _verify_checks(cfg, level)
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(checks, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    failed = [name for name, entry in sorted(checks.items())
-              if not entry["pass"]]
     for name, entry in sorted(checks.items()):
-        status = "pass" if entry["pass"] else "FAIL"
-        print(f"{status}  {name}: value={entry['value']:.6e} "
-              f"tol={entry['tol']:.6e}")
-    return 0 if not failed else 1
+        print(f"{'pass' if entry['pass'] else 'FAIL'}  {name}: "
+              f"value={entry['value']:.6e} tol={entry['tol']:.6e}")
+    return 0 if all(entry["pass"] for entry in checks.values()) else 1
 
 
 def _parse_reals(raw: str, flag: str) -> List[float]:
@@ -484,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--config", required=True)
-    ver.add_argument("--level", choices=("quick", "full"), default="quick")
+    ver.add_argument("--level", choices=tuple(_VERIFY_LEVELS),
+                     default="quick")
     ver.add_argument("--report", required=True)
 
     wey = sub.add_parser("weyl", help="evaluate the Weyl function")
@@ -510,10 +504,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "invert":
             if args.grid < 1:
                 raise ConfigError("--grid must be positive")
+            _require_writable(args.out)
             return cmd_invert(cfg, args.grid, args.out)
         if args.command == "recover":
             return cmd_recover(cfg, args.samples, args.out)
         if args.command == "verify":
+            _require_writable(args.report)
             return cmd_verify(cfg, args.level, args.report)
         if args.command == "weyl":
             lambdas = _parse_lambdas(args.lambdas)

@@ -148,6 +148,20 @@ class TestConfigParsing:
         assert cli.main(["weyl", "--config", str(tmp_path / "nope.json"),
                          "--lambda", "0,1"]) == 1
 
+    def test_oversized_integer_names_the_config(self, tmp_path, capsys):
+        # Python's json refuses integers of more than 4,300 digits with a
+        # plain ValueError; it is a malformed config like any other.
+        text = json.dumps(config_dict(scalar_realization()))
+        assert '"l": 1.0' in text
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"l": 1.0', '"l": 1' + "0" * 5000))
+        with pytest.raises(cli.ConfigError, match="digits"):
+            cli.parse_config(str(path))
+        assert cli.main(["weyl", "--config", str(path),
+                         "--lambda", "0,1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ")
+
 
 class TestInvert:
     def test_zero_data_kernel_vanishes(self, zero_cfg, tmp_path):
@@ -391,6 +405,50 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and str(target) in err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["invert", "--grid", "128"], "--out"),
+        (["verify", "--level", "full"], "--report")])
+    def test_unwritable_path_fails_before_the_work(self, argv, flag,
+                                                   bench_cfg, tmp_path,
+                                                   monkeypatch, capsys):
+        calls = []
+        for owner, name in ((inversion.InverseKernel, "block_values"),
+                            (discretization, "discretize_operator")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        target = tmp_path / "missing" / "out"
+        assert cli.main(argv + ["--config", bench_cfg,
+                                flag, str(target)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("invert", "--out"), ("verify", "--report")])
+    def test_failed_work_leaves_the_path_as_it_was(self, command, flag,
+                                                   scalar_cfg, tmp_path,
+                                                   monkeypatch, capsys):
+        # The early check of the path leaves nothing behind: work that
+        # fails after it leaves no file, and an existing file as it was.
+        target = tmp_path / "out"
+
+        def failing(cfg):
+            raise ValueError("work failed")
+
+        monkeypatch.setattr(cli.ProblemConfig, "realization", failing)
+        argv = [command, "--config", scalar_cfg, flag, str(target)]
+        assert cli.main(argv) == 1
+        assert not target.exists()
+        target.write_text("earlier run\n")
+        assert cli.main(argv) == 1
+        assert target.read_text() == "earlier run\n"
+        assert capsys.readouterr().err == "error: work failed\n" * 2
+
 
 class TestExponentialsThroughLinalg:
     """Every command gets its matrix exponentials from linalg.exp_samples."""
@@ -501,6 +559,59 @@ class TestVerify:
                 assert entry["error"].startswith(causes[name]), name
             else:
                 assert "error" not in entry, name
+
+    def _report(self, cfg, tmp_path):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", cfg, "--level", "quick",
+                         "--report", str(report)]) == 1
+        return json.loads(report.read_text())
+
+    def test_failed_kernel_build_still_writes_report(self, scalar_cfg,
+                                                     tmp_path, monkeypatch):
+        builds = []
+
+        def singular(realization):
+            builds.append(realization)
+            raise linalg.SingularMatrixError("singular corner", 3.6e-84)
+
+        monkeypatch.setattr(inversion.InverseKernel, "from_realization",
+                            singular)
+        checks = self._report(scalar_cfg, tmp_path)
+        assert len(checks) == 7 and len(builds) == 1
+        needs_kernel = {"j_unitarity", "composition", "gamma_metric",
+                        "similarity"}
+        for name, entry in checks.items():
+            if name in needs_kernel:
+                assert entry["value"] == 1e99 and not entry["pass"], name
+                assert entry["error"].startswith(
+                    "SingularMatrixError: singular corner"), name
+            else:
+                assert entry["pass"] and "error" not in entry, name
+
+    def test_similarity_failure_keeps_gamma_metric(self, scalar_cfg,
+                                                   tmp_path, monkeypatch):
+        def broken(gx, diag):
+            raise ValueError("no similarity")
+
+        monkeypatch.setattr(canonical, "similarity_factor", broken)
+        checks = self._report(scalar_cfg, tmp_path)
+        assert checks["similarity"] == {
+            "value": 1e99, "tol": 1e-6, "pass": False,
+            "error": "ValueError: no similarity"}
+        assert checks["gamma_metric"]["pass"]
+        assert "error" not in checks["gamma_metric"]
+
+    def test_any_exception_becomes_a_sentinel(self, scalar_cfg, tmp_path,
+                                              monkeypatch):
+        def broken(op):
+            raise RuntimeError("Lanczos broke down")
+
+        monkeypatch.setattr(discretization, "positivity_spectrum", broken)
+        checks = self._report(scalar_cfg, tmp_path)
+        assert checks["positivity_min_eig"]["error"] == (
+            "RuntimeError: Lanczos broke down")
+        assert [name for name, entry in checks.items()
+                if not entry["pass"]] == ["positivity_min_eig"]
 
     def test_builds_nystrom_objects_once(self, scalar_cfg, tmp_path,
                                          monkeypatch):
