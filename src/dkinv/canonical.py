@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .inversion import (InverseKernel, SingularCornerReport, _StateSystem,
                         branch_projectors)
@@ -452,12 +451,16 @@ def similarity_factor(gx: np.ndarray, diag: DiagonalStructure) -> SimilarityFact
             f"gamma J gamma^H deviates from D by {metric_residual:.3e}; "
             "not a valid Hamiltonian factor"
         )
-    kernel = null_space(gx @ jmat)
-    if kernel.shape[1] != p:
+    # Rows spanning the null space of gamma*J: the right singular vectors
+    # past its numerical rank, at the rank tolerance max(shape) eps s_max.
+    rows = gx @ jmat
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.sum(sv > max(rows.shape) * np.finfo(float).eps * sv[0]))
+    x_rows = vh[rank:]
+    if x_rows.shape[0] != p:
         raise ValueError(
-            f"null space of gamma*J has dimension {kernel.shape[1]}, expected {p}"
+            f"null space of gamma*J has dimension {x_rows.shape[0]}, expected {p}"
         )
-    x_rows = kernel.conj().T
     gram = -(x_rows @ jmat @ x_rows.conj().T)
     gram = 0.5 * (gram + gram.conj().T)
     evals, evecs = np.linalg.eigh(gram)

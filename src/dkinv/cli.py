@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import canonical, discretization, inversion
+from . import canonical, inversion
 from .kernels import DiagonalStructure, Realization, RealizationIdentityError
 from .linalg import exchange_j, frob
 
@@ -304,6 +304,10 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     inverse kernel, S_N and the recovered gammas are each built at most once;
     a failed build is the error of every check that needs it.
     """
+    # The Nystrom cross-checks are the package's one use of scipy, so only
+    # verify imports them.
+    from . import discretization
+
     count, points, comp_tol, lams = _VERIFY_LEVELS[level]
     r = cfg.realization()
     ex = exchange_j(r.p)

@@ -9,21 +9,26 @@ never call into this one.
 Discrete objects follow a component-major layout: a block vector sample f
 on nodes x_0..x_{N-1} is flattened as f[i*N + a] = f_i(x_a), so operators
 on L^2-valued p-vectors become (p*N) x (p*N) matrices.
+
+This is the package's one scipy user (LU, Cholesky, triangular solves and
+the tridiagonal eigenproblems of Lanczos); the CLI imports it for
+``verify`` only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cholesky, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import (cholesky, eigh_tridiagonal, lu_factor, lu_solve,
+                          solve_triangular)
 
 from .inversion import InverseKernel
 from .kernels import Realization
 # spectral_norm is read as discretization.spectral_norm by the benchmark's
 # composition check.
-from .linalg import (exchange_j, exp_samples, frob, lanczos_extremes,
+from .linalg import (_start_vector, exchange_j, exp_samples, frob,
                      operator_norm, spectral_norm)
 
 __all__ = [
@@ -32,9 +37,13 @@ __all__ = [
     "discrete_matrizant",
     "discretize_inverse",
     "discretize_operator",
+    "lanczos_extremes",
     "positivity_spectrum",
     "profile_samples",
 ]
+
+# Krylov dimension after which lanczos_extremes gives up.
+LANCZOS_MAX_DIM = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +145,42 @@ def _bounded_below(herm: np.ndarray, shift: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
+    """Extreme Ritz values (theta_min, theta_max) of a Hermitian matrix.
+
+    Lanczos with full reorthogonalization from the start vector of
+    :func:`spectral_norm`, stopping once the residual bound |beta_k y_k| of
+    both extreme Ritz values is at most 1e-12 max(1, |theta|).  Returns None
+    when that does not happen within LANCZOS_MAX_DIM steps.  Ritz values
+    interlace, theta_min >= lambda_min and theta_max <= lambda_max, and a
+    converged one lies within its bound of some eigenvalue; but a Krylov
+    space that misses the extreme eigenvectors converges to inner
+    eigenvalues, so a caller that needs the true minimum must certify it.
+    """
+    size = h.shape[0]
+    steps = min(LANCZOS_MAX_DIM, size)
+    basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    ends = [0, -1]
+    q = _start_vector(size)
+    for k in range(steps):
+        basis[k] = q
+        active = basis[:k + 1]
+        w = h @ q
+        coef = active.conj() @ w
+        alpha[k] = coef[k].real
+        w -= coef @ active
+        w -= (active.conj() @ w) @ active  # second pass: twice is enough
+        beta[k] = np.linalg.norm(w)
+        theta, vecs = eigh_tridiagonal(alpha[:k + 1], beta[:k])
+        bound = beta[k] * np.abs(vecs[-1, ends])
+        if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
+            return float(theta[0]), float(theta[-1])
+        q = w / beta[k]
+    return None
 
 
 def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:

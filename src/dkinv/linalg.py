@@ -1,19 +1,18 @@
-"""Dense complex linear-algebra substrate.
+"""Dense complex linear-algebra substrate, on numpy alone.
 
-Thin, contract-enforcing wrappers around numpy/scipy, the batched matrix
-exponential of one generator at many times, the two block
-structure matrices used throughout the package, and the two Krylov
-iterations (a power-iteration norm and Lanczos extremes) that stand in for
-dense SVD and eigenvalue calls on large matrices.  Everything here is a
-pure function of its inputs and safe to call concurrently.
+Thin, contract-enforcing wrappers around numpy, a stacked scaling-and-
+squaring Pade matrix exponential and the batched exponential of one
+generator at many times built on it, the two block structure matrices used
+throughout the package, and a power-iteration norm that stands in for dense
+SVD calls on large matrices.  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "DimensionError",
@@ -29,7 +28,6 @@ __all__ = [
     "frob",
     "spectral_norm",
     "operator_norm",
-    "lanczos_extremes",
 ]
 
 # Reciprocal 2-norm condition number below which a solve is refused.
@@ -38,12 +36,48 @@ RCOND_MIN = 1e-12
 # Residual bound enforced by solve(), relative to the right-hand side.
 SOLVE_RESIDUAL = 1e-10
 
-# Krylov dimension after which lanczos_extremes gives up.
-LANCZOS_MAX_DIM = 300
-
 # Taylor degree of exp_samples: the smallest K whose truncation bound at
 # |t| ||m||_1 <= 1/2, (1/2)^(K+1) / (K+1)! * e^(1/2), is below 2^-53.
 TAYLOR_DEGREE = 14
+
+# 1-norm of an exponent a from which no digit of e^a is determined: the
+# relative condition number of the exponential is at least ||a|| (Van Loan,
+# "The sensitivity of the matrix exponential", SIAM J. Numer. Anal. 14(6),
+# 1977), so rounding a alone, a relative change of 2^-53, can change e^a
+# entirely.  Scaling and squaring of such an a returns rounding noise
+# (zeros or an overflow), and both exponential functions refuse it.
+EXP_NORM_MAX = 2.0 ** 53
+
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited" (SIAM J. Matrix Anal. Appl. 26(4), 2005), Table 2.3: the
+# 1-norms theta_m up to which the unscaled degree-m Pade approximant is
+# accurate to unit roundoff, and the coefficients b_0..b_m of its numerator
+# p(x) (the denominator is p(-x)), for m = 3, 5, 7, 9, 13.
+_PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                        9.504178996162932e-1, 2.097847961257068e0,
+                        5.371920351148152e0])
+_PADE_COEFFS = (
+    (120., 60., 12., 1.),
+    (30240., 15120., 3360., 420., 30., 1.),
+    (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+     2162160., 110880., 3960., 90., 1.),
+    (64764752532480000., 32382376266240000., 7771770303897600.,
+     1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+     33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
+)
+
+
+def _pade_rows(b) -> np.ndarray:
+    """Degree-m numerator p(x) = x u(x^2) + v(x^2) as the coefficients of
+    I, a^2, a^4, a^6 in the four sums of Higham's Algorithm 2.3,
+    u = a^6 hi_u + lo_u and v = a^6 hi_v + lo_v (rows in that order)."""
+    odd, even = np.zeros(7), np.zeros(7)
+    odd[:len(b) // 2], even[:(len(b) + 1) // 2] = b[1::2], b[0::2]
+    return np.array([[0.0, *odd[4:]], odd[:4], [0.0, *even[4:]], even[:4]])
+
+
+_PADE_ROWS = np.array([_pade_rows(b) for b in _PADE_COEFFS])
 
 
 class DimensionError(ValueError):
@@ -80,12 +114,68 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pade approximants of e^a for each slice of a stack, slice k of the
+    degree whose :func:`_pade_rows` are rows[k].
+
+    Every degree is evaluated in the form of Higham's degree-13 Algorithm
+    2.3 (six products), the lower ones with zero coefficients, so that the
+    whole stack is one pass: (v - u)^{-1} (v + u) with the odd part
+    a u(a^2) and the even part v(a^2) of the numerator.
+    """
+    size = a.shape[-1]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    evens = np.stack([np.broadcast_to(np.eye(size), a.shape), a2, a4, a6],
+                     axis=1).reshape(len(a), 4, size * size)
+    hi_u, lo_u, hi_v, lo_v = (rows @ evens).reshape(
+        len(a), 4, size, size).transpose(1, 0, 2, 3)
+    u = a @ (a6 @ hi_u + lo_u)
+    v = a6 @ hi_v + lo_v
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a for each slice of a (k, n, n) stack, by scaling and squaring.
+
+    Higham's 2005 algorithm, slice by slice: a slice of 1-norm at most
+    theta_m takes the lowest such Pade degree m unscaled; one above
+    theta_13 is divided by its own power of two 2^s, the least that brings
+    it under theta_13, takes degree 13, and is squared s times.  A zero
+    slice is the identity exactly.  Raises ValueError when the operand is
+    not finite, a slice's 1-norm reaches EXP_NORM_MAX, or the result
+    overflows.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("matrix exponential operand contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+        if not (norms < EXP_NORM_MAX).all():
+            raise ValueError(
+                f"matrix exponential operand has 1-norm {norms.max():.3e}; "
+                "from 2^53 on no digit of its exponential is determined")
+        rows = _PADE_ROWS[np.searchsorted(_PADE_THETA[:-1], norms)]
+        powers = np.maximum(
+            0.0, np.ceil(np.log2(norms / _PADE_THETA[-1]))).astype(int)
+        out = _pade(a / np.ldexp(1.0, powers)[:, None, None], rows)
+        for step in range(powers.max(initial=0)):
+            sq = powers > step
+            out[sq] = out[sq] @ out[sq]
+    out[norms == 0.0] = np.eye(a.shape[-1])
+    if not np.isfinite(out).all():
+        raise ValueError("matrix exponential overflows")
+    return out
+
+
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with a Pade core).
 
     Exact to roundoff for nilpotent input, where the series terminates.
+    Raises ValueError when the operand is not finite, its 1-norm reaches
+    EXP_NORM_MAX, or the result overflows.
     """
-    return sla.expm(_square(m, "mat_exp operand"))
+    return _expm(_square(m, "mat_exp operand")[None])[0]
 
 
 def exp_samples(m, s) -> np.ndarray:
@@ -96,38 +186,50 @@ def exp_samples(m, s) -> np.ndarray:
     33(2), 2011).  Anchors c sit on the grid of spacing 1/||m||_1 nearest
     each s_k, and each sample is e^{cm} times the degree-TAYLOR_DEGREE
     Taylor polynomial of e^{tm} at t = s_k - c, where |t| ||m||_1 <= 1/2.
-    Only the anchors go through the Pade ``expm``; the polynomials of all
-    samples are one matrix product, and each occupied anchor multiplies
+    Only the anchors go through the Pade exponential; the polynomials of
+    all samples are one matrix product, and each occupied anchor multiplies
     its own samples in place.  The TAYLOR_DEGREE products that build
     the polynomial pay off only when they save at least as many Pade
     evaluations, so with fewer samples than anchors plus TAYLOR_DEGREE
-    every sample is its own anchor.
+    every sample is its own anchor.  Raises ValueError when some
+    |s_k| ||m||_1 reaches EXP_NORM_MAX or some e^{s_k m} overflows.
     """
     m = _square(m, "exp_samples operand")
     s = np.asarray(s, dtype=float).reshape(-1)
     if not np.isfinite(s).all():
         raise ValueError("exp_samples times contain non-finite entries")
-    if s.size <= TAYLOR_DEGREE:  # too few to save TAYLOR_DEGREE anchors
-        return sla.expm(s[:, None, None] * m)
-    scale = np.linalg.norm(m, 1) or 1.0  # any spacing serves m = 0
-    ticks = np.rint(s * scale)
+    norm = np.linalg.norm(m, 1)
+    with np.errstate(over="ignore"):
+        reach = np.abs(s).max(initial=0.0) * norm
+    if not reach < EXP_NORM_MAX:
+        raise ValueError(
+            f"exp_samples: |s| ||m||_1 reaches {reach:.3e}; from 2^53 on no "
+            "digit of e^{s m} is determined")
+    # Too few samples to save TAYLOR_DEGREE anchors, or m = 0, whose
+    # exponentials the kernel sets to the identity.
+    if s.size <= TAYLOR_DEGREE or norm == 0.0:
+        return _expm(s[:, None, None] * m)
+    ticks = np.rint(s * norm)
     first = ticks.min()
     count = int(ticks.max() - first) + 1
     if s.size - count < TAYLOR_DEGREE:
-        return sla.expm(s[:, None, None] * m)
-    anchors = sla.expm(((first + np.arange(count)) / scale)[:, None, None] * m)
+        return _expm(s[:, None, None] * m)
+    anchors = _expm(((first + np.arange(count)) / norm)[:, None, None] * m)
     # (m / ||m||_1)^k / k! against (t ||m||_1)^k, |t| ||m||_1 <= 1/2.
-    size, unit = m.shape[0], m / scale
+    size, unit = m.shape[0], m / norm
     powers = np.empty((TAYLOR_DEGREE + 1, size, size), dtype=complex)
     powers[0] = np.eye(size)
     for k in range(1, TAYLOR_DEGREE + 1):
         np.matmul(powers[k - 1], unit / k, out=powers[k])
-    taylor = (np.vander(s * scale - ticks, TAYLOR_DEGREE + 1, increasing=True)
+    taylor = (np.vander(s * norm - ticks, TAYLOR_DEGREE + 1, increasing=True)
               @ powers.reshape(TAYLOR_DEGREE + 1, -1)).reshape(-1, size, size)
     slot = (ticks - first).astype(int)
-    for k in np.unique(slot):
-        at = slot == k
-        taylor[at] = anchors[k] @ taylor[at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.unique(slot):
+            at = slot == k
+            taylor[at] = anchors[k] @ taylor[at]
+    if not np.isfinite(taylor).all():
+        raise ValueError("matrix exponential overflows")
     return taylor
 
 
@@ -237,39 +339,3 @@ def spectral_norm(a) -> float:
         return 0.0
     return operator_norm(lambda v: a @ v, lambda w: a.conj().T @ w,
                          a.shape[1])
-
-
-def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
-    """Extreme Ritz values (theta_min, theta_max) of a Hermitian matrix.
-
-    Lanczos with full reorthogonalization from the start vector of
-    :func:`spectral_norm`, stopping once the residual bound |beta_k y_k| of
-    both extreme Ritz values is at most 1e-12 max(1, |theta|).  Returns None
-    when that does not happen within LANCZOS_MAX_DIM steps.  Ritz values
-    interlace, theta_min >= lambda_min and theta_max <= lambda_max, and a
-    converged one lies within its bound of some eigenvalue; but a Krylov
-    space that misses the extreme eigenvectors converges to inner
-    eigenvalues, so a caller that needs the true minimum must certify it.
-    """
-    size = h.shape[0]
-    steps = min(LANCZOS_MAX_DIM, size)
-    basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
-    ends = [0, -1]
-    q = _start_vector(size)
-    for k in range(steps):
-        basis[k] = q
-        active = basis[:k + 1]
-        w = h @ q
-        coef = active.conj() @ w
-        alpha[k] = coef[k].real
-        w -= coef @ active
-        w -= (active.conj() @ w) @ active  # second pass: twice is enough
-        beta[k] = np.linalg.norm(w)
-        theta, vecs = sla.eigh_tridiagonal(alpha[:k + 1], beta[:k])
-        bound = beta[k] * np.abs(vecs[-1, ends])
-        if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
-            return float(theta[0]), float(theta[-1])
-        q = w / beta[k]
-    return None

@@ -170,21 +170,20 @@ def write_config(tmp_path, cfg: dict, name="problem.json") -> str:
 
 @pytest.fixture
 def expm_slices(monkeypatch):
-    """Counts the matrices dkinv.linalg hands to scipy's Pade ``expm``.
+    """Counts the matrices dkinv.linalg hands to its Pade kernel ``_expm``.
 
-    A stacked call counts one per slice; the returned list holds the
-    running total as its only element.
+    A call counts one per slice of its (k, n, n) stack; the returned list
+    holds the running total as its only element.
     """
     from dkinv import linalg
-    pade = linalg.sla.expm
+    pade = linalg._expm
     count = [0]
 
     def counting(a):
-        a = np.asarray(a)
-        count[0] += a.shape[0] if a.ndim == 3 else 1
+        count[0] += a.shape[0]
         return pade(a)
 
-    monkeypatch.setattr(linalg.sla, "expm", counting)
+    monkeypatch.setattr(linalg, "_expm", counting)
     return count
 
 

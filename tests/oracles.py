@@ -4,8 +4,9 @@ None of these run in the CLI.  Each one reaches its answer by a route the
 production code does not take: adaptive quadrature of the triangular
 factor, a cubic spline and Runge-Kutta for the canonical system's
 matrizant, classical RK4 for the fundamental solution, a finite-difference
-Gram matrix for H(x), the discrete operator identity, and direct Fourier
-quadrature of the kernel column for the Weyl function.
+Gram matrix for H(x), the discrete operator identity, direct Fourier
+quadrature of the kernel column for the Weyl function, and a 40-digit
+mpmath matrix exponential.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from bisect import bisect_right
 from typing import Callable, Tuple, Union
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
@@ -338,3 +340,16 @@ def fourier_transform_residual(r: Realization, lam: complex) -> float:
                         epsabs=1e-12, epsrel=1e-12, limit=600)
     transform = lam * chunk @ r.diag.matrix
     return frob(transform - phi) / frob(phi)
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponential in extended precision
+# ---------------------------------------------------------------------------
+
+def mp_expm(a, digits: int = 40) -> np.ndarray:
+    """e^a computed by mpmath at ``digits`` significant digits, rounded once
+    to complex128: the reference for the package's double-precision Pade
+    kernel."""
+    with mpmath.workdps(digits):
+        value = mpmath.expm(mpmath.matrix(np.asarray(a, dtype=complex).tolist()))
+        return np.array(value.tolist(), dtype=complex)

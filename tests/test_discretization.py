@@ -267,7 +267,8 @@ class TestPositivity:
         spectrum = np.concatenate([[0.5], np.ones(size - 2), [3.0]])
         herm = (basis * spectrum) @ basis.conj().T
         herm = 0.5 * (herm + herm.conj().T)
-        assert linalg.lanczos_extremes(herm)[0] == pytest.approx(1.0, abs=1e-9)
+        assert discretization.lanczos_extremes(herm)[0] == pytest.approx(
+            1.0, abs=1e-9)
         assert not discretization._bounded_below(herm, 1.0 - 1e-10)
         calls = []
         dense = np.linalg.eigvalsh
@@ -287,7 +288,7 @@ class TestPositivity:
         # certificate's margin (the singular scalar scaling): both answer
         # with eigvalsh itself, bit for bit.
         if case == "unconverged":
-            monkeypatch.setattr(linalg, "LANCZOS_MAX_DIM", 2)
+            monkeypatch.setattr(discretization, "LANCZOS_MAX_DIM", 2)
             op = discretize_operator(seed10, 100)
         else:
             op = discretize_operator(singular_scalar_realization(), 200)

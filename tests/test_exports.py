@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -16,6 +17,8 @@ import dkinv
 from dkinv import linalg
 from dkinv.inversion import FundamentalSolution
 
+from conftest import bench_shape_realization, config_dict, write_config
+
 MODULES = ["dkinv"] + [f"dkinv.{m.name}"
                        for m in pkgutil.iter_modules(dkinv.__path__)]
 
@@ -27,29 +30,71 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_cli_import_loads_no_quadrature_modules():
-    # The CLI needs only numpy and scipy.linalg; scipy.integrate and
-    # scipy.interpolate belong to the test oracles.
-    code = ("import sys, dkinv.cli; print('\\n'.join(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'integrate'], "
-            "['scipy', 'interpolate'], ['scipy', 'optimize'])))")
+def _run_python(*args: str) -> str:
+    """stdout of a fresh interpreter that finds this checkout's dkinv."""
     src = str(Path(dkinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    done = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, check=True, env=env)
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_cli_import_loads_no_quadrature_modules():
+    # The CLI imports numpy alone (test_only_verify_loads_scipy);
+    # scipy.integrate and scipy.interpolate belong to the test oracles.
+    code = ("import sys, dkinv.cli; print('\\n'.join(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'interpolate'], ['scipy', 'optimize'])))")
+    assert _run_python("-c", code).split() == []
+
+
+_COMMANDS_SCIPY_FREE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import dkinv
+runs = [["import dkinv", None, scipy_modules()]]
+from dkinv import cli
+runs.append(["import dkinv.cli", None, scipy_modules()])
+config, out, report = sys.argv[1:]
+for argv in (["invert", "--grid", "16", "--out", out],
+             ["recover", "--samples", "20", "--out", out],
+             ["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"],
+             ["verify", "--level", "quick", "--report", report]):
+    code = cli.main([argv[0], "--config", config] + argv[1:])
+    runs.append([argv[0], code, scipy_modules()])
+print(json.dumps(runs))
+"""
+
+
+def test_only_verify_loads_scipy(tmp_path):
+    # invert, recover and weyl run on numpy alone; verify's Nystrom checks
+    # are the one part of the package that imports scipy.
+    config = write_config(tmp_path, config_dict(bench_shape_realization()))
+    stdout = _run_python("-c", _COMMANDS_SCIPY_FREE, config,
+                         str(tmp_path / "out.csv"), str(tmp_path / "report.json"))
+    runs = json.loads(stdout.splitlines()[-1])
+    assert [(step, code, loaded) for step, code, loaded in runs[:-1]] == [
+        ("import dkinv", None, []), ("import dkinv.cli", None, []),
+        ("invert", 0, []), ("recover", 0, []), ("weyl", 0, [])]
+    step, code, loaded = runs[-1]
+    assert (step, code) == ("verify", 0)
+    assert "scipy.linalg" in loaded
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "dkinv.linalg"])
 def test_only_linalg_holds_matrix_exponentials(name):
     # Every e^{sM} comes from linalg.exp_samples: no other module holds
-    # mat_exp or scipy's expm, or names either in its source.
+    # mat_exp, the Pade kernel under it or scipy's expm, or names any of
+    # them in its source.
     module = importlib.import_module(name)
     held = [key for key, value in vars(module).items()
-            if value is linalg.mat_exp or value is scipy.linalg.expm]
+            if value is linalg.mat_exp or value is linalg._expm
+            or value is scipy.linalg.expm]
     assert held == []
-    assert re.findall(r"\b(?:mat_exp|expm)\b", inspect.getsource(module)) == []
+    assert re.findall(r"\b(?:mat_exp|_?expm)\b",
+                      inspect.getsource(module)) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -11,7 +11,13 @@ from dkinv import linalg
 from dkinv.inversion import FundamentalSolution
 from dkinv.linalg import DimensionError, SingularMatrixError
 
-from conftest import bench_shape_realization, random_realization
+from conftest import (ACCEPTANCE_CASES, bench_shape_realization,
+                      random_realization)
+from oracles import mp_expm
+
+
+# Generator of the plane rotations e^{s m}.
+_ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestMatExp:
@@ -42,6 +48,66 @@ class TestMatExp:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             linalg.mat_exp(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("m", [
+        2.0 ** 53 * _ROTATION, 1e200 * _ROTATION, 1e308 * _ROTATION,
+        np.full((2, 2), 1e308)], ids=["2^53", "1e200", "1e308", "inf_norm"])
+    def test_undetermined_exponential_is_refused(self, m):
+        # Finite entries, but ||m||_1 >= 2^53 (the last one's column sums
+        # overflow) leaves no digit of e^m determined; scaling and squaring
+        # returns zeros or overflows.
+        with pytest.raises(ValueError, match="no digit"):
+            linalg.mat_exp(m)
+
+    def test_overflowing_exponential_is_refused(self):
+        # e^710 is above the largest double.
+        with pytest.raises(ValueError, match="overflows"):
+            linalg.mat_exp(710.0 * np.eye(2))
+
+
+def _mpmath_cases():
+    """(name, m, s): e^{s m} for the generators of the acceptance cases and
+    a few structured matrices.  For a realization the generators are the
+    state matrix A and the innermost segment's A + Y, at s = d_1 l."""
+    cases = []
+    for seed, p, n, d, scale in ACCEPTANCE_CASES:
+        for length in (1.0, 4.0):
+            fund = FundamentalSolution(
+                random_realization(seed, p, n, d, length, scale))
+            for gen_name, gen in (("A", fund.generator),
+                                  ("A+Y", fund.segments[0].gen_cross)):
+                cases.append((f"case{seed}-l{length:g}-{gen_name}", gen,
+                              fund.interval))
+    rng = np.random.default_rng(17)
+    upper = np.triu(rng.standard_normal((8, 8))
+                    + 1j * rng.standard_normal((8, 8)), 1)
+    skewed = np.diag(rng.standard_normal(8)) + 10.0 * upper
+    # 1-norms up to 100, and just under each Pade degree's theta_m, where
+    # that degree is least accurate.
+    for norm in (0.0149, 0.2539, 0.9504, 2.0978, 5.3719, 100.0):
+        cases.append((f"non_normal_8x8_norm{norm:g}",
+                      skewed * norm / np.linalg.norm(skewed, 1), 1.0))
+    cases.append(("diagonal_phase", np.diag([1j * np.pi, 0.0]), 1.0))
+    cases.append(("nilpotent", np.array([[-1.0, -1.0], [1.0, 1.0]]), 7.5))
+    return cases
+
+
+@pytest.mark.parametrize("m,s", [pytest.param(m, s, id=name)
+                                 for name, m, s in _mpmath_cases()])
+def test_exponentials_match_mpmath(m, s):
+    # mat_exp at s, and exp_samples at the last of 201 times up to s, both
+    # normwise within 1e-13 of the 40-digit exponential.  When
+    # ||s m||_1 <= theta_13 no squaring amplifies the Pade error, which the
+    # degree choice keeps at unit roundoff u, so the bound is then
+    # 4 u (1 + ||s m||_1), the conditioning of e^{s m} times a few u.
+    want = mp_expm(s * m)
+    norm = np.linalg.norm(s * m, 1)
+    tol = 1e-13
+    if norm <= linalg._PADE_THETA[-1]:
+        tol = 4 * np.finfo(float).eps / 2 * (1.0 + norm)
+    for got in (linalg.mat_exp(s * m),
+                linalg.exp_samples(m, np.linspace(0.0, s, 201))[-1]):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def _segment_generators(r):
@@ -75,7 +141,7 @@ def _gathered_exp_samples(m, s):
     scale = np.linalg.norm(m, 1) or 1.0
     ticks = np.rint(s * scale)
     first = ticks.min()
-    anchors = expm(((first + np.arange(int(ticks.max() - first) + 1))
+    anchors = linalg._expm(((first + np.arange(int(ticks.max() - first) + 1))
                     / scale)[:, None, None] * m)
     size, unit = m.shape[0], m / scale
     powers = np.empty((degree + 1, size, size), dtype=complex)
@@ -127,13 +193,31 @@ class TestExpSamples:
         assert got.shape == (len(times), 8, 8)
         assert expm_slices[0] - before == len(times)
         for t, g in zip(times, got):
-            assert np.array_equal(g, expm(t * m))
+            assert np.array_equal(g, linalg.mat_exp(t * m))
 
     @pytest.mark.parametrize("times", [[np.nan], [0.5] * 20 + [np.inf]])
     def test_non_finite_times_are_refused(self, times):
         # As mat_exp refuses a non-finite operand s m.
         with pytest.raises(ValueError):
             linalg.exp_samples(np.eye(2), times)
+
+    @pytest.mark.parametrize("scale,times", [
+        (1.0, [1e200]), (1.0, [1e308]), (1.0, [0.5] * 20 + [1e200]),
+        (1.0, [-1e308] + [0.0] * 20 + [1e308]), (4.0, [1e308])])
+    def test_undetermined_exponentials_are_refused(self, scale, times):
+        # As mat_exp refuses ||s m||_1 >= 2^53; at scale 4, s m overflows.
+        with pytest.raises(ValueError, match="no digit"):
+            linalg.exp_samples(scale * _ROTATION, times)
+
+    @pytest.mark.parametrize("times", [[710.0], np.linspace(700.0, 710.0, 41)])
+    def test_overflowing_exponentials_are_refused(self, times):
+        with pytest.raises(ValueError, match="overflows"):
+            linalg.exp_samples(np.eye(2), times)
+
+    def test_zero_generator_takes_any_time(self):
+        times = [-1e308] + [0.0] * 20 + [1e308]
+        got = linalg.exp_samples(np.zeros((2, 2)), times)
+        assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
 
     def test_complex_times_are_refused(self):
         with warnings.catch_warnings():
