@@ -75,6 +75,12 @@ class IntervalSingularityError(ValueError):
 # Weyl function and its spectral data
 # ---------------------------------------------------------------------------
 
+def _on_spectrum(beta: np.ndarray, z: complex) -> bool:
+    """Whether z lies within 1e-12 max(1, ||beta||_F) of an eigenvalue."""
+    gap = np.min(np.abs(eig_spectrum(beta) - z))
+    return bool(gap <= 1e-12 * max(1.0, frob(beta)))
+
+
 def weyl_value(r: Realization, lam: complex) -> np.ndarray:
     """phi(lambda) = (i/2) D + theta1^H (beta - lambda I)^{-1} theta2.
 
@@ -83,8 +89,7 @@ def weyl_value(r: Realization, lam: complex) -> np.ndarray:
     the state spectrum.
     """
     beta = r.beta
-    gap = np.min(np.abs(eig_spectrum(beta) - lam))
-    if gap <= 1e-12 * max(1.0, frob(beta)):
+    if _on_spectrum(beta, lam):
         raise WeylPoleError(f"lambda = {lam} is a pole of the Weyl function")
     n = beta.shape[0]
     resolvent_term = r.theta1.conj().T @ solve(beta - lam * np.eye(n), r.theta2)
@@ -117,8 +122,17 @@ class HerglotzData:
     jumps: Tuple[np.ndarray, ...]  # Hermitian nonnegative jump matrices
 
     def density(self, t: float) -> np.ndarray:
-        """rho(t) = (1/2pi) zeta(t)^H D zeta(t), Hermitian nonnegative."""
+        """rho(t) = (1/2pi) zeta(t)^H D zeta(t), Hermitian nonnegative.
+
+        Raises :class:`WeylPoleError` at a real eigenvalue of beta (within
+        the pole tolerance of :func:`weyl_value`), where the resolvent
+        (tI - beta)^{-1} does not exist.
+        """
         r = self.realization
+        if _on_spectrum(r.beta, t):
+            raise WeylPoleError(
+                f"t = {t} is a real eigenvalue of beta: no density there (the "
+                "spectral mass of phi at a real eigenvalue is a point jump)")
         n, p = r.n, r.p
         gap = r.theta2 - r.theta1
         zeta = np.eye(p) - 1j * r.diag.inv_matrix @ gap.conj().T \
@@ -312,20 +326,18 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
         raise ValueError("closed-form correction needs an invertible state matrix")
     fund, proj = kernel.fund, kernel.p_cross
 
-    n, p, d = r.n, r.p, r.diag.d
+    n, d = r.n, r.diag.d
     embed = np.vstack([np.eye(n), np.zeros((n, n))])  # [I_n; 0]
-    corner_inv = fund._invert(fund.corner())  # U(d_1 x)^{-1}
-    right_factor = solve(beta.conj().T, r.theta1)
-    direct = exp_samples(1j * beta.conj().T, d * x)  # e^{i d_s x beta^H}
-    out = np.empty((p, p), dtype=complex)
-    for s in range(p):
-        y = d[s] * x
-        u_inv = corner_inv if d[s] == d[0] else fund.inverse(y)
-        middle = proj @ corner_inv - u_inv + np.eye(2 * n) - proj
-        bracket = fund.adj_row[s, :] @ fund.propagated(y) @ middle @ embed
-        out[s, :] = (r.theta2.conj().T[s, :] @ direct[s] + bracket) \
-            @ right_factor
-    return out
+    ys = d * x
+    props = fund.propagated(ys)  # e^{yA} U(y)
+    back = exp_samples(fund.generator, -ys)  # e^{-yA}
+    u_inv = fund._invert(back @ props)  # U(y)^{-1}; ys[0] = d_1 x
+    middle = proj @ u_inv[0] - u_inv + np.eye(2 * n) - proj
+    bracket = fund.adj_row[:, None, :] @ props @ middle @ embed
+    # e^{i y beta^H} = (e^{-i y beta})^H, from the lower block of e^{-yA}.
+    direct = r.theta2.conj().T[:, None, :] \
+        @ back[:, n:, n:].conj().transpose(0, 2, 1)
+    return (direct + bracket)[:, 0, :] @ solve(beta.conj().T, r.theta1)
 
 
 def hamiltonian_factor(r: Realization, x: float, route: str = "auto") -> np.ndarray:

@@ -262,9 +262,6 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
             file=sys.stderr,
         )
         return 1
-    if samples < 1:
-        print("error: need at least one sample", file=sys.stderr)
-        return 1
     xs = np.linspace(r.length / samples, r.length, samples)
     try:
         grid_data = canonical.recover_hamiltonian(r, xs)
@@ -341,7 +338,7 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     def j_unitarity() -> float:
         fund = need(kernel).fund
         jmat = fund.j_matrix
-        us = map(fund.value, np.linspace(0.0, fund.interval, points).tolist())
+        us = fund.value(np.linspace(0.0, fund.interval, points))
         return max(0.0, *(frob(u.conj().T @ jmat @ u - jmat)
                           / (1.0 + frob(u) ** 2) for u in us))
 
@@ -423,8 +420,9 @@ def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
              density_points: Sequence[float]) -> int:
     """Print phi(lambda) per requested point as JSON lines.
 
-    A pole hit produces a per-lambda error record and evaluation continues.
-    Density samples additionally require the structure identity.
+    A pole hit produces an error record for that lambda or density point t,
+    and evaluation continues.  Density samples additionally require the
+    structure identity.
     """
     r = cfg.realization()
     for lam in lambdas:
@@ -450,10 +448,11 @@ def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
             )
             return 1
         for t in density_points:
-            print(json.dumps({
-                "t": t,
-                "density": _pairs(data.density(t)),
-            }, sort_keys=True))
+            try:
+                record = {"t": t, "density": _pairs(data.density(t))}
+            except canonical.WeylPoleError as exc:
+                record = {"t": t, "error": str(exc)}
+            print(json.dumps(record, sort_keys=True))
     return 0
 
 
@@ -511,6 +510,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _require_writable(args.out)
             return cmd_invert(cfg, args.grid, args.out)
         if args.command == "recover":
+            if args.samples < 1:
+                raise ConfigError("--samples must be positive")
             return cmd_recover(cfg, args.samples, args.out)
         if args.command == "verify":
             _require_writable(args.report)

@@ -65,8 +65,6 @@ class _Segment:
     right: float            # open right endpoint (closed for the last segment)
     level: int              # level index j in 2..k+1 selecting P_j
     gen_cross: np.ndarray   # A + Y_j
-    exp_left_neg: np.ndarray   # e^{-left*A}
-    u_left: np.ndarray         # U(left)
     right_cache: np.ndarray    # e^{left*A} U(left)
     left_cache: np.ndarray     # U(left)^{-1} e^{-left*A}
     exp_span: np.ndarray       # e^{(right-left)(A+Y_j)}
@@ -75,8 +73,7 @@ class _Segment:
     def at(self, k: int) -> "_Segment":
         """The segment of the k-th interval length of a chain."""
         return _Segment(float(self.left[k]), float(self.right[k]), self.level,
-                        self.gen_cross, self.exp_left_neg[k], self.u_left[k],
-                        self.right_cache[k], self.left_cache[k],
+                        self.gen_cross, self.right_cache[k], self.left_cache[k],
                         self.exp_span[k], self.projector)
 
 
@@ -135,9 +132,8 @@ class _StateSystem:
             right_cache = exp_pos @ u_left
             left_cache = self._invert(u_left) @ exp_neg
             span = exp_samples(gen_cross, right - left)
-            segments.append(_Segment(left, right, level, gen_cross, exp_neg,
-                                     u_left, right_cache, left_cache, span,
-                                     proj))
+            segments.append(_Segment(left, right, level, gen_cross,
+                                     right_cache, left_cache, span, proj))
             exp_neg = exp_samples(gen, -right)
             u_left = exp_neg @ span @ right_cache
         return segments, u_left
@@ -145,8 +141,8 @@ class _StateSystem:
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """U^{-1} through the symplectic-type relation, solve as fallback.
 
-        ``u`` is one matrix or a stack of them; the fallback solves only
-        the matrices whose residual is too large.
+        ``u`` is one matrix or a stack of them; the matrices whose residual
+        is too large go to one stacked :func:`solve`.
 
         The residual is scaled by 1 + ||U||^2 (matching the unitarity
         invariant): for large-norm U the structured inverse is exact algebra
@@ -158,8 +154,9 @@ class _StateSystem:
         ui = jt.conj().T @ us.conj().transpose(0, 2, 1) @ jt
         residual = np.linalg.norm(us @ ui - eye, axis=(1, 2))
         bound = 1e-6 * (1.0 + np.linalg.norm(us, axis=(1, 2)) ** 2)
-        for k in np.flatnonzero(residual > bound):
-            ui[k] = solve(us[k], eye)
+        bad = residual > bound
+        if bad.any():
+            ui[bad] = solve(us[bad], np.broadcast_to(eye, ui[bad].shape))
         return ui.reshape(u.shape)
 
 
@@ -185,8 +182,8 @@ class FundamentalSolution(_StateSystem):
         self._corner = corners[0]  # U(a)
         self.lefts = np.array([seg.left for seg in self.segments])
         for seg in self.segments:
-            for arr in (seg.gen_cross, seg.exp_left_neg, seg.u_left,
-                        seg.right_cache, seg.left_cache, seg.exp_span):
+            for arr in (seg.gen_cross, seg.right_cache, seg.left_cache,
+                        seg.exp_span):
                 arr.flags.writeable = False
 
     # -- segment lookup ------------------------------------------------------
@@ -221,25 +218,29 @@ class FundamentalSolution(_StateSystem):
 
     # -- evaluators ----------------------------------------------------------
 
-    def value(self, y: float) -> np.ndarray:
-        """U(y); two matrix exponentials beyond the cached segment data."""
-        seg, _, off = next(self._segments_at([y]))
-        if off[0] == 0.0:
-            return seg.u_left
-        return seg.exp_left_neg @ exp_samples(self.generator, -off)[0] \
-            @ exp_samples(seg.gen_cross, off)[0] @ seg.right_cache
+    def propagated(self, ys) -> np.ndarray:
+        """e^{yA} U(y) at the dilated points ``ys``, one exponential call
+        per segment: one matrix for a scalar y, else a stack of shape
+        ``np.shape(ys) + (2n, 2n)``."""
+        flat = np.reshape(ys, -1)
+        out = np.empty((flat.size,) + self.generator.shape, dtype=complex)
+        for seg, at, off in self._segments_at(flat):
+            out[at] = exp_samples(seg.gen_cross, off) @ seg.right_cache
+        return out.reshape(np.shape(ys) + self.generator.shape)
 
-    def inverse(self, y: float) -> np.ndarray:
-        return self._invert(self.value(y))
+    def value(self, ys) -> np.ndarray:
+        """U(y), e^{-yA} times :meth:`propagated`, shaped as it."""
+        prop = self.propagated(ys)
+        back = exp_samples(self.generator, -np.clip(ys, 0.0, self.interval))
+        return back.reshape(prop.shape) @ prop
+
+    def inverse(self, ys) -> np.ndarray:
+        """U(y)^{-1} at the dilated points ``ys``, shaped as :meth:`value`."""
+        return self._invert(self.value(ys))
 
     def corner(self) -> np.ndarray:
         """U(a) at the dilated right end a = d_1*l."""
         return self._corner
-
-    def propagated(self, y: float) -> np.ndarray:
-        """e^{yA} U(y), the left-propagated solution (one exponential)."""
-        seg, _, off = next(self._segments_at([y]))
-        return exp_samples(seg.gen_cross, off)[0] @ seg.right_cache
 
     def _rows(self, comp: np.ndarray, pts) -> np.ndarray:
         """Rows adj_row[c] e^{(y-L)(A+Y_j)} right_cache at y = d_c x."""
@@ -308,29 +309,26 @@ def branch_projectors(
 ) -> List[Union[np.ndarray, SingularCornerReport]]:
     """:func:`branch_projector` of every corner in a stack of them.
 
-    The singular values that gate each corner come from two stacked SVDs;
-    the projector of each invertible corner is one guarded :func:`solve`.
+    One stacked SVD of the blocks U22 gives the gate and the null bases;
+    the projectors of all invertible corners are one guarded :func:`solve`.
     """
     n = corners.shape[-1] // 2
     u21 = corners[:, n:, :n]
     u22 = corners[:, n:, n:]
     scales = np.linalg.svd(corners, compute_uv=False)[:, 0]
-    lowest = np.linalg.svd(u22, compute_uv=False)[:, -1]
-    out: List[Union[np.ndarray, SingularCornerReport]] = []
-    for k, scale in enumerate(scales):
-        rcond = float(lowest[k] / scale) if scale > 0 else 0.0
-        if rcond < RCOND_MIN:
-            _, s, vh = np.linalg.svd(u22[k])
-            mask = s <= scale * RCOND_MIN
-            basis = vh[mask].conj().T
-            if basis.size == 0:  # pragma: no cover - rcond gate guarantees a vector
-                basis = vh[-1:].conj().T
-            out.append(SingularCornerReport(rcond=rcond, null_basis=basis))
-            continue
-        proj = np.zeros((2 * n, 2 * n), dtype=complex)
-        proj[n:, :n] = solve(u22[k], u21[k])
-        proj[n:, n:] = np.eye(n)
-        out.append(proj)
+    _, sv, vh = np.linalg.svd(u22)
+    # Singular values are descending, so a corner fails the gate exactly
+    # when its null basis below holds at least one vector.
+    small = sv <= scales[:, None] * RCOND_MIN
+    ok = ~small[:, -1]
+    projs = np.zeros(corners.shape, dtype=complex)
+    projs[ok, n:, :n] = solve(u22[ok], u21[ok])
+    projs[:, n:, n:] = np.eye(n)
+    out: List[Union[np.ndarray, SingularCornerReport]] = list(projs)
+    for k in np.flatnonzero(~ok):
+        rcond = float(sv[k, -1] / scales[k]) if scales[k] > 0 else 0.0
+        out[k] = SingularCornerReport(rcond=rcond,
+                                      null_basis=vh[k][small[k]].conj().T)
     return out
 
 

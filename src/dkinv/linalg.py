@@ -239,41 +239,48 @@ def eig_spectrum(m) -> np.ndarray:
 
 
 def solve(m, rhs) -> np.ndarray:
-    """Solve m @ x = rhs, refusing matrices singular to tolerance.
+    """Solve m @ x = rhs for one square m or each slice of a (k, n, n) stack
+    (``rhs`` a matrix per slice), refusing singular slices.
 
-    Raises SingularMatrixError when the reciprocal condition number drops
-    below RCOND_MIN, or when even one refinement step cannot push the
-    normwise backward error ||m x - rhs|| / (||m|| ||x|| + ||rhs||) under
-    SOLVE_RESIDUAL.  The backward-error normalization matters: solving
-    close to a pole (resolvents near a real eigenvalue) legitimately
-    produces ||x|| >> ||rhs||, and a bound relative to ||rhs|| alone would
-    reject those solutions even when they are as good as the conditioning
-    allows.
+    Raises SingularMatrixError, with the smallest offending rcond, when a
+    reciprocal condition number drops below RCOND_MIN, or when one
+    refinement step of the slices that need it cannot push the normwise
+    backward error ||m x - rhs|| / (||m|| ||x|| + ||rhs||) under
+    SOLVE_RESIDUAL.  The normalization matters: near a pole (resolvents
+    near a real eigenvalue) ||x|| >> ||rhs|| legitimately, and a bound
+    relative to ||rhs|| alone would reject solutions as good as the
+    conditioning allows.
     """
-    m = _square(m, "solve matrix")
+    m = np.asarray(m, dtype=complex)
     r = np.asarray(rhs, dtype=complex)
-    if r.shape[0] != m.shape[0]:
-        raise DimensionError(
-            f"rhs leading dimension {r.shape[0]} != matrix size {m.shape[0]}"
-        )
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] \
+            or r.shape[:-1] != m.shape[:-1]:
+        raise DimensionError(f"solve: matrix shape {m.shape} and rhs shape "
+                             f"{r.shape} do not match")
+    if not np.isfinite(m).all():
+        raise ValueError("solve matrix contains non-finite entries")
+    m, r = (m[None], r[None]) if m.ndim == 2 else (m, r)
     sv = np.linalg.svd(m, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularMatrixError("matrix is singular to working precision", rcond)
-    norm_m = frob(m)
+    rconds = sv[:, -1] / np.where(sv[:, 0] > 0, sv[:, 0], np.inf)
+    if not (rconds >= RCOND_MIN).all():
+        raise SingularMatrixError("matrix is singular to working precision",
+                                  float(rconds.min()))
+
+    def above_contract(x: np.ndarray) -> np.ndarray:
+        # Per slice; a zero rhs with a zero solution is exact.
+        res, nm, nx, nr = (np.linalg.norm(a, axis=(1, 2))
+                           for a in (m @ x - r, m, x, r))
+        return res > SOLVE_RESIDUAL * (nm * nx + nr)
+
     x = np.linalg.solve(m, r)
-
-    def backward_error(cand: np.ndarray) -> float:
-        denom = norm_m * frob(cand) + frob(r)
-        if denom == 0.0:  # zero rhs, zero solution: exact
-            return 0.0
-        return frob(m @ cand - r) / denom
-
-    if backward_error(x) > SOLVE_RESIDUAL:
-        x = x + np.linalg.solve(m, r - m @ x)  # one refinement step
-        if backward_error(x) > SOLVE_RESIDUAL:
-            raise SingularMatrixError("solve residual above contract", rcond)
-    return x
+    bad = above_contract(x)
+    if bad.any():
+        x[bad] += np.linalg.solve(m[bad], (r - m @ x)[bad])
+        bad = above_contract(x)
+        if bad.any():
+            raise SingularMatrixError("solve residual above contract",
+                                      float(rconds[bad].min()))
+    return x.reshape(np.shape(rhs))
 
 
 def exchange_j(p: int) -> np.ndarray:

@@ -120,6 +120,15 @@ class TestHerglotzData:
             want = matrix_im(weyl_value(seed10, complex(t, 0.0))) / np.pi
             assert np.abs(data.density(float(t)) - want).max() <= 1e-12
 
+    def test_density_refused_at_a_real_eigenvalue(self, scalar):
+        # beta = -1: within weyl_value's pole tolerance of t = -1 the
+        # density is refused by name; just outside it, it is finite.
+        data = herglotz_data(WeylFunction(scalar))
+        for t in (-1.0, -1.0 + 5e-13):
+            with pytest.raises(WeylPoleError, match=f"t = {t} "):
+                data.density(t)
+        assert np.isfinite(data.density(-1.0 + 1e-6)).all()
+
     def test_density_positive_semidefinite(self, seed10):
         data = herglotz_data(WeylFunction(seed10))
         for t in np.linspace(-4.0, 4.0, 20):
@@ -318,9 +327,10 @@ class TestRecoveryCorrectionReuse:
         gamma = hamiltonian_factor(r, x)
         before = expm_slices[0]
         got = recovery_correction(kern)
-        # One Pade slice for the direct term and one for the propagated U
-        # per row; U(d_s x) for d_s < d_1 sits at a cached segment start,
-        # and the corner inverse reuses the cached U(a).
+        # Two Pade slices per row: e^{-yA}, whose lower block also gives
+        # the direct term, and e^{yA} U(y); U(y)^{-1}, the corner's
+        # included, comes from their product without a further
+        # exponential.
         assert expm_slices[0] - before == 2 * p
         assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(gamma).max())
 

@@ -277,6 +277,21 @@ class TestRecover:
                          "--out", str(tmp_path / "h.csv")]) == 1
         assert "sample" in capsys.readouterr().err
 
+    def test_sample_count_checked_before_any_work(self, singular_cfg,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        # singular_cfg violates the structure identity; the bad argument
+        # is what gets reported, before the realization is built.
+        built = []
+        monkeypatch.setattr(cli.ProblemConfig, "realization",
+                            lambda self: built.append(self))
+        out = tmp_path / "h.csv"
+        assert cli.main(["recover", "--config", singular_cfg, "--samples",
+                         "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: --samples must be positive\n"
+        assert built == [] and not out.exists()
+
     def test_flags_do_not_change_bytes(self, seed10, tmp_path):
         # Recovery takes the profile route for every beta; a "flags" key is
         # ignored like any unknown key, so the output never depends on it.
@@ -506,6 +521,38 @@ class TestExponentialsThroughLinalg:
 
 
 class TestVerify:
+    def test_j_unitarity_evaluates_u_in_one_batch(self, bench_cfg, tmp_path,
+                                                  monkeypatch):
+        # One exponential call per segment for e^{yA} U(y) and one for
+        # e^{-yA}, where one call per sample point made 38.
+        pade = linalg._expm
+        calls = []
+        inside = []
+
+        def counting(a):
+            if inside:
+                calls.append(len(a))
+            return pade(a)
+
+        value = inversion.FundamentalSolution.value
+
+        def batched(self, ys):
+            inside.append(ys)
+            try:
+                return value(self, ys)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(linalg, "_expm", counting)
+        monkeypatch.setattr(inversion.FundamentalSolution, "value", batched)
+        report = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", bench_cfg, "--level", "full",
+                         "--report", report]) == 0
+        segments = inversion.FundamentalSolution(
+            bench_shape_realization()).segments
+        assert 0 < len(calls) <= len(segments) + 1
+        assert json.load(open(report))["j_unitarity"]["value"] <= 1e-15
+
     def test_zero_data_quick_all_pass(self, zero_cfg, tmp_path, capsys):
         report = str(tmp_path / "report.json")
         assert cli.main(["verify", "--config", zero_cfg, "--level", "quick",
@@ -706,6 +753,19 @@ class TestWeyl:
             dens = np.array([[complex(a, b) for a, b in row]
                              for row in rec["density"]])
             assert np.linalg.eigvalsh(dens)[0] >= -1e-12
+
+    def test_density_at_an_eigenvalue_is_an_error_record(self, scalar_cfg,
+                                                          capsys):
+        # beta = -1: phi has a pole at t = -1, where the spectral mass is a
+        # point jump; that t gets an error record and t = 0.5 still prints.
+        assert cli.main(["weyl", "--config", scalar_cfg, "--lambda",
+                         "0.3,0.6", "--density=0.0,-1.0,0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        assert [rec["t"] for rec in records] == [0.0, -1.0, 0.5]
+        assert "density" in records[0] and "density" in records[2]
+        assert set(records[1]) == {"t", "error"}
+        assert records[1]["error"].startswith("t = -1.0 is a real eigenvalue")
 
     def test_density_requires_identity(self, singular_cfg, capsys):
         assert cli.main(["weyl", "--config", singular_cfg, "--lambda", "0,1",

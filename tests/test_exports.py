@@ -8,13 +8,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
 import dkinv
-from dkinv import linalg
+from dkinv import canonical, linalg
 from dkinv.inversion import FundamentalSolution
 
 from conftest import bench_shape_realization, config_dict, write_config
@@ -28,6 +30,42 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _bench_tracing() -> types.ModuleType:
+    """bench/tracing.py, executed from its source text (no bytecode is
+    written next to it)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_bench_traced_names_resolve():
+    # The benchmark traces these names with getattr or the class __dict__;
+    # renaming one breaks its --trace runs, so it fails here first.
+    missing = []
+    for metric, modname, attr in _bench_tracing().TRACED:
+        module = importlib.import_module(modname)
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            cls = getattr(module, owner, None)
+            found = cls is not None and name in vars(cls)
+        else:
+            found = hasattr(module, name)
+        if not found:
+            missing.append(metric)
+    assert missing == []
+
+
+def test_bench_route_check_runs():
+    # The benchmark's route check asks for hamiltonian_factor by the name
+    # "quadrature", the profile route.
+    r = bench_shape_realization()
+    gamma = canonical.hamiltonian_factor(r, 0.5, route="quadrature")
+    assert gamma.shape == (r.p, 2 * r.p)
+    assert np.array_equal(gamma, canonical.hamiltonian_factor(r, 0.5))
 
 
 def _run_python(*args: str) -> str:

@@ -117,8 +117,7 @@ def _four_exponential_segments(f):
         exp_pos = linalg.mat_exp(seg.left * gen)
         exp_neg = linalg.mat_exp(-seg.left * gen)
         right_cache = exp_pos @ u_left
-        out.append((exp_neg, u_left, right_cache,
-                    f._invert(u_left) @ exp_neg))
+        out.append((right_cache, f._invert(u_left) @ exp_neg))
         u_left = linalg.mat_exp(-seg.right * gen) \
             @ linalg.mat_exp((seg.right - seg.left) * seg.gen_cross) \
             @ right_cache
@@ -136,10 +135,7 @@ class TestSegmentCaches:
         # the benchmark shape, where k = 3), each one Pade slice.
         assert expm_slices[0] == 3 * k - 1
         want, corner = _four_exponential_segments(f)
-        for seg, (exp_neg, u_left, right_cache, left_cache) in \
-                zip(f.segments, want):
-            assert np.array_equal(seg.exp_left_neg, exp_neg)
-            assert np.array_equal(seg.u_left, u_left)
+        for seg, (right_cache, left_cache) in zip(f.segments, want):
             assert np.array_equal(seg.right_cache, right_cache)
             assert np.array_equal(seg.left_cache, left_cache)
         assert np.array_equal(f.corner(), corner)
@@ -157,8 +153,7 @@ class TestSegmentCaches:
             r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
         else:
             r = request.getfixturevalue(shape)
-        names = ("exp_left_neg", "u_left", "right_cache", "left_cache",
-                 "exp_span")
+        names = ("right_cache", "left_cache", "exp_span")
         for count, tol in ((7, 0.0), (40, 1e-13)):
             xs = np.linspace(r.length / count, r.length, count)
             segments, corners = FundamentalSolution(r).chain(xs)
@@ -228,8 +223,48 @@ class TestBatchedFactors:
                 f.right_cols([bad])
             with pytest.raises(ValueError):
                 f.left_row(0, bad)
+            for name in ("value", "propagated", "inverse"):
+                with pytest.raises(ValueError):
+                    getattr(f, name)([0.5, bad * f.interval])
         assert f.left_rows([]).shape == (0, f.state_dim)
         assert f.right_cols([]).shape == (f.state_dim, 0)
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("shape", ["scalar", "seed10", "bench_shape",
+                                       "repeated"])
+    def test_batch_matches_each_point(self, shape, request):
+        # value, propagated and inverse on an array of points against the
+        # same method point by point, at y = 0, at every breakpoint, at a
+        # and in between; 20 points take exp_samples' Taylor path, one
+        # point the Pade kernel.
+        if shape == "bench_shape":
+            r = bench_shape_realization()
+        elif shape == "repeated":
+            r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
+        else:
+            r = request.getfixturevalue(shape)
+        f = FundamentalSolution(r)
+        ys = np.concatenate([f.lefts, np.linspace(0.0, f.interval, 20)])
+        size = f.state_dim
+        for name in ("value", "propagated", "inverse"):
+            method = getattr(f, name)
+            batch = method(ys)
+            assert batch.shape == (ys.size, size, size)
+            for y, got in zip(ys, batch):
+                want = method(float(y))
+                assert want.shape == (size, size)
+                assert np.linalg.norm(got - want) \
+                    <= 1e-14 * np.linalg.norm(want)
+            grid = method(ys[:6].reshape(2, 3))
+            assert grid.shape == (2, 3, size, size)
+            assert np.array_equal(grid.reshape(6, size, size),
+                                  method(ys[:6]))
+
+    def test_value_at_zero_is_the_identity(self, seed10):
+        f = FundamentalSolution(seed10)
+        assert np.array_equal(f.value(0.0), np.eye(f.state_dim))
+        assert np.array_equal(f.value([0.0, 0.0])[1], np.eye(f.state_dim))
 
 
 class TestBranchProjector:

@@ -295,6 +295,70 @@ class TestSolve:
         with pytest.raises(DimensionError):
             linalg.solve(np.eye(2), np.zeros((3, 1)))
 
+    @staticmethod
+    def _stack(size: int = 40):
+        """Two random systems around the Wilkinson matrix of ``size``, whose
+        partial-pivoting LU grows like 2^(size-1): at 40 its first solve has
+        a backward error near 2e-8 and one refinement step brings it to
+        rounding, while its rcond stays near 0.06."""
+        rng = np.random.default_rng(5)
+        wilkinson = np.eye(size) - np.tril(np.ones((size, size)), -1)
+        wilkinson[:, -1] = 1.0
+        ms = rng.standard_normal((3, size, size)) \
+            + 1j * rng.standard_normal((3, size, size))
+        ms[1] = wilkinson
+        return ms, rng.standard_normal((3, size, 2)) + 0j
+
+    def test_stack_matches_each_slice(self):
+        ms, rs = self._stack()
+        got = linalg.solve(ms, rs)
+        assert got.shape == rs.shape
+        for k in range(3):
+            assert np.array_equal(got[k], linalg.solve(ms[k], rs[k]))
+
+    def test_refines_only_the_slices_that_need_it(self, monkeypatch):
+        ms, rs = self._stack()
+        lapack = np.linalg.solve
+        sizes = []
+
+        def counting(a, b):
+            sizes.append(len(a))
+            return lapack(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        got = linalg.solve(ms, rs)
+        monkeypatch.undo()
+        assert sizes == [3, 1]  # the stack, then the Wilkinson slice alone
+        for k in (0, 2):
+            assert np.array_equal(got[k], np.linalg.solve(ms[k], rs[k]))
+
+        def backward_error(x):
+            return linalg.frob(ms[1] @ x - rs[1]) / (
+                linalg.frob(ms[1]) * linalg.frob(x) + linalg.frob(rs[1]))
+
+        assert backward_error(np.linalg.solve(ms[1], rs[1])) \
+            > linalg.SOLVE_RESIDUAL
+        assert backward_error(got[1]) <= linalg.SOLVE_RESIDUAL
+
+    def test_singular_slice_raises_with_its_rcond(self):
+        ms, rs = self._stack(6)
+        ms[2] = np.outer(np.arange(1.0, 7.0), np.arange(2.0, 8.0))  # rank one
+        with pytest.raises(SingularMatrixError) as alone:
+            linalg.solve(ms[2], rs[2])
+        with pytest.raises(SingularMatrixError) as stacked:
+            linalg.solve(ms, rs)
+        assert stacked.value.rcond == alone.value.rcond < linalg.RCOND_MIN
+
+    def test_empty_stack(self):
+        got = linalg.solve(np.zeros((0, 3, 3)), np.zeros((0, 3, 2)))
+        assert got.shape == (0, 3, 2)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            linalg.solve(np.zeros((2, 3, 3)), np.zeros((3, 3, 1)))
+        with pytest.raises(DimensionError):
+            linalg.solve(np.zeros((2, 3, 4)), np.zeros((2, 3, 1)))
+
 
 class TestStructureMatrices:
     def test_exchange_is_involution(self):
