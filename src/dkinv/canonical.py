@@ -124,36 +124,44 @@ class HerglotzData:
     def density(self, t: float) -> np.ndarray:
         """rho(t) = (1/2pi) zeta(t)^H D zeta(t), Hermitian nonnegative.
 
-        Raises :class:`WeylPoleError` at a real eigenvalue of beta (within
-        the pole tolerance of :func:`weyl_value`), where the resolvent
-        (tI - beta)^{-1} does not exist.
+        On a real eigenvalue cluster of beta with spectral projector P
+        (within the pole tolerance of :func:`weyl_value`), the resolvent
+        term (tI - beta)^{-1} theta2 exists iff P theta2 = 0; it is then
+        solve(tI - beta + P, (I - P) theta2), as tI - beta + P is
+        nonsingular for a semisimple cluster.  Raises
+        :class:`WeylPoleError` where P theta2 != 0: the spectral mass there
+        is a point jump.
         """
         r = self.realization
-        if _on_spectrum(r.beta, t):
-            raise WeylPoleError(
-                f"t = {t} is a real eigenvalue of beta: no density there (the "
-                "spectral mass of phi at a real eigenvalue is a point jump)")
         n, p = r.n, r.p
+        shifted, rhs = t * np.eye(n) - r.beta, r.theta2
+        if _on_spectrum(r.beta, t):
+            _, proj = min(_real_clusters(r.beta), key=lambda c: abs(c[0] - t))
+            leak = proj @ rhs
+            if frob(leak) > 1e-12 * max(1.0, frob(rhs)):
+                raise WeylPoleError(
+                    f"t = {t} is a real eigenvalue of beta: no density there "
+                    "(the spectral mass of phi at a real eigenvalue is a "
+                    "point jump)")
+            shifted, rhs = shifted + proj, rhs - leak
         gap = r.theta2 - r.theta1
         zeta = np.eye(p) - 1j * r.diag.inv_matrix @ gap.conj().T \
-            @ solve(t * np.eye(n) - r.beta, r.theta2)
+            @ solve(shifted, rhs)
         return zeta.conj().T @ r.diag.matrix @ zeta / (2 * np.pi)
 
 
-def _real_point_spectrum(beta: np.ndarray, theta2: np.ndarray):
-    """Real eigenvalues of beta with their clustered jump matrices.
+def _real_clusters(beta: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    """(eigenvalue, spectral projector) of each real-eigenvalue cluster.
 
-    Jumps are the residues of theta2^H (z I - beta)^{-1} theta2, computed
-    through the spectral projector of each real-eigenvalue cluster.  A real
-    eigenvalue whose geometric multiplicity falls short of its cluster size
-    has a Jordan block there — no simple-pole residue exists and the case is
-    rejected.
+    Clusters are ascending.  A real eigenvalue whose geometric multiplicity
+    falls short of its cluster size has a Jordan block there, and is
+    rejected with :class:`DefectiveEigenvalueError`.
     """
     scale = max(1.0, frob(beta))
     vals, vecs = np.linalg.eig(beta)
     real_idx = [k for k in range(vals.size) if abs(vals[k].imag) <= 1e-10 * scale]
     if not real_idx:
-        return np.empty(0), ()
+        return []
     real_idx.sort(key=lambda k: vals[k].real)
     clusters: List[List[int]] = [[real_idx[0]]]
     for k in real_idx[1:]:
@@ -162,7 +170,7 @@ def _real_point_spectrum(beta: np.ndarray, theta2: np.ndarray):
         else:
             clusters.append([k])
     vecs_inv = np.linalg.inv(vecs)
-    points, jumps = [], []
+    out = []
     for idx in clusters:
         z = float(np.mean(vals[idx].real))
         shifted = beta - z * np.eye(beta.shape[0])
@@ -173,11 +181,21 @@ def _real_point_spectrum(beta: np.ndarray, theta2: np.ndarray):
                 f"real eigenvalue {z:.6g} has geometric multiplicity "
                 f"{geometric} < algebraic {len(idx)}; no simple-pole residue"
             )
-        projector = vecs[:, idx] @ vecs_inv[idx, :]
-        nu = theta2.conj().T @ projector @ theta2
-        points.append(z)
-        jumps.append(0.5 * (nu + nu.conj().T))
-    return np.array(points), tuple(jumps)
+        out.append((z, vecs[:, idx] @ vecs_inv[idx, :]))
+    return out
+
+
+def _real_point_spectrum(beta: np.ndarray, theta2: np.ndarray):
+    """Real eigenvalues of beta with their clustered jump matrices.
+
+    Jumps are the residues of theta2^H (z I - beta)^{-1} theta2, computed
+    through the spectral projector of each real-eigenvalue cluster
+    (:func:`_real_clusters`, which rejects Jordan blocks).
+    """
+    clusters = _real_clusters(beta)
+    nus = [theta2.conj().T @ proj @ theta2 for _, proj in clusters]
+    return (np.array([z for z, _ in clusters], dtype=float),
+            tuple(0.5 * (nu + nu.conj().T) for nu in nus))
 
 
 def herglotz_data(w: WeylFunction) -> HerglotzData:

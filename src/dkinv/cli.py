@@ -301,8 +301,8 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     inverse kernel, S_N and the recovered gammas are each built at most once;
     a failed build is the error of every check that needs it.
     """
-    # The Nystrom cross-checks are the package's one use of scipy, so only
-    # verify imports them.
+    # Only verify runs the Nystrom cross-checks; importing them costs every
+    # other command about 5 ms of a fresh start.
     from . import discretization
 
     count, points, comp_tol, lams = _VERIFY_LEVELS[level]

@@ -10,9 +10,10 @@ Discrete objects follow a component-major layout: a block vector sample f
 on nodes x_0..x_{N-1} is flattened as f[i*N + a] = f_i(x_a), so operators
 on L^2-valued p-vectors become (p*N) x (p*N) matrices.
 
-This is the package's one scipy user (LU, Cholesky, triangular solves and
-the tridiagonal eigenproblems of Lanczos); the CLI imports it for
-``verify`` only.
+Like the rest of the package it runs on numpy alone: the positivity
+certificate is ``np.linalg.cholesky``, Lanczos solves its small tridiagonal
+with ``np.linalg.eigh``, the transfer matrix takes one ``np.linalg.solve``
+of S^H and a vectorized scan for the midpoint resolvents.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import (cholesky, eigh_tridiagonal, lu_factor, lu_solve,
-                          solve_triangular)
 
 from .inversion import InverseKernel
 from .kernels import Realization
@@ -44,6 +43,9 @@ __all__ = [
 
 # Krylov dimension after which lanczos_extremes gives up.
 LANCZOS_MAX_DIM = 300
+# Lanczos tests convergence at every step up to this dimension, then at
+# every 4th: each test is a dense O(k^3) eigh of the k x k tridiagonal.
+LANCZOS_EVERY_STEP = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +137,21 @@ def _bounded_below(herm: np.ndarray, shift: float) -> bool:
     """True iff herm - shift*I has a Cholesky factor.
 
     By Sylvester's law of inertia success proves that no eigenvalue of the
-    Hermitian ``herm`` lies below ``shift``.  The factor overwrites one copy:
-    herm.copy().T is conj(herm), Fortran-ordered with the same spectrum.
+    Hermitian ``herm`` lies below ``shift``.  The shift is applied to
+    ``herm`` in place and its diagonal restored from a copy afterwards, so
+    the factor is the one n x n array allocated.  It factors herm.T, which
+    is conj(herm) with the same spectrum: numpy's lower Cholesky is faster
+    on that Fortran-ordered view.
     """
-    shifted = herm.copy().T
-    shifted[np.diag_indices_from(shifted)] -= shift
+    diag = np.diag_indices_from(herm)
+    saved = herm[diag]
+    herm[diag] -= shift
     try:
-        cholesky(shifted, overwrite_a=True, check_finite=False)
+        np.linalg.cholesky(herm.T)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        herm[diag] = saved
     return True
 
 
@@ -158,12 +166,14 @@ def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
     converged one lies within its bound of some eigenvalue; but a Krylov
     space that misses the extreme eigenvectors converges to inner
     eigenvalues, so a caller that needs the true minimum must certify it.
+    The test runs at every step up to LANCZOS_EVERY_STEP, then at every 4th
+    step, the last one and on breakdown (beta_k = 0).
     """
     size = h.shape[0]
     steps = min(LANCZOS_MAX_DIM, size)
     basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
+    # The tridiagonal, lower triangle only; row k + 1 takes beta_k.
+    tri = np.zeros((steps + 1, steps))
     ends = [0, -1]
     q = _start_vector(size)
     for k in range(steps):
@@ -171,15 +181,18 @@ def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
         active = basis[:k + 1]
         w = h @ q
         coef = active.conj() @ w
-        alpha[k] = coef[k].real
+        tri[k, k] = coef[k].real
         w -= coef @ active
         w -= (active.conj() @ w) @ active  # second pass: twice is enough
-        beta[k] = np.linalg.norm(w)
-        theta, vecs = eigh_tridiagonal(alpha[:k + 1], beta[:k])
-        bound = beta[k] * np.abs(vecs[-1, ends])
-        if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
-            return float(theta[0]), float(theta[-1])
-        q = w / beta[k]
+        beta = np.linalg.norm(w)
+        if (k < LANCZOS_EVERY_STEP or k % 4 == 3 or k == steps - 1
+                or beta == 0.0):
+            theta, vecs = np.linalg.eigh(tri[:k + 1, :k + 1])
+            bound = beta * np.abs(vecs[-1, ends])
+            if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
+                return float(theta[0]), float(theta[-1])
+        tri[k + 1, k] = beta
+        q = w / beta
     return None
 
 
@@ -231,9 +244,29 @@ def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
                       np.repeat(np.eye(r.p), xs.size, axis=0)])
 
 
-def _midpoint_integrator(count: int, h: float) -> np.ndarray:
-    """Lower-triangular midpoint rule for f -> integral_0^x f on the nodes."""
-    return h * (np.tril(np.ones((count, count)), -1) + 0.5 * np.eye(count))
+def _midpoint_resolvents(samples: np.ndarray, d: np.ndarray, h: float,
+                         lams: np.ndarray) -> np.ndarray:
+    """(I - lambda A)^{-1} samples for every lambda, A = i*D (x) tri.
+
+    ``samples`` is component-major, (p*N) x m; tri = h (L + I/2), with L
+    the strictly lower all-ones matrix, is the midpoint rule for
+    f -> integral_0^x f.  Block i, with c = i*lambda*d_i*h, solves
+    (1 - c/2) y_a - c s_a = f_a for the running sum s_a = y_0 + ... +
+    y_{a-1}: forward substitution, run as one scan over the nodes for every
+    lambda and component at once.  Returns shape (len(lams), p*N, m).
+    """
+    p = d.size
+    count = samples.shape[0] // p
+    coef = 1j * h * np.multiply.outer(lams, d)[:, :, None]  # (L, p, 1)
+    alpha = 1.0 - 0.5 * coef
+    kappa = coef / alpha
+    # ys[a, k, i] is row a of block i for lams[k]; it starts as f_a / alpha.
+    ys = samples.reshape(p, count, -1).transpose(1, 0, 2)[:, None] / alpha
+    total = np.zeros_like(ys[0])
+    for row in ys:
+        row += kappa * total
+        total += row
+    return ys.transpose(1, 2, 0, 3).reshape(lams.size, p * count, -1)
 
 
 def discrete_matrizant(r: Realization, op: DiscreteOperator,
@@ -243,26 +276,16 @@ def discrete_matrizant(r: Realization, op: DiscreteOperator,
     W_N = I + i*lambda*h * J Pi^H S^{-1} (I - lambda A)^{-1} Pi, the exact
     matrizant of the discretized problem; it converges to the canonical
     system's matrizant at the right endpoint as the grid refines.  ``op`` is
-    the Nystrom matrix S of ``r``.  Pi^H S^{-1} = (S^{-H} Pi)^H is one LU
-    solve for all lambdas.  A = i*D (x) tri is block-diagonal in the
-    component-major layout, so I - lambda A is solved one lower-triangular
-    block I - i*lambda*d_i*tri at a time.  Returns shape (len(lams), 2p, 2p).
+    the Nystrom matrix S of ``r``.  Pi^H S^{-1} = X^H for S^H X = Pi, one
+    solve for all lambdas, taken as S^T conj(X) = conj(Pi) so that no
+    conjugate copy of S is made; an exactly singular S raises
+    ``LinAlgError``.  A = i*D (x) tri is block-diagonal in the
+    component-major layout, and :func:`_midpoint_resolvents` applies
+    (I - lambda A)^{-1}.  Returns shape (len(lams), 2p, 2p).
     """
-    count = op.nodes.size
+    lams = np.asarray(lams, dtype=complex)
     pi = profile_samples(r, op.nodes)
-    tri = _midpoint_integrator(count, op.weight)
-    factor = lu_factor(op.matrix)
-    if not np.all(np.diag(factor[0])):
-        raise np.linalg.LinAlgError("Nystrom matrix is exactly singular")
-    # J Pi^H S^{-1}, from the conjugate-transposed solve S^H X = Pi.
-    j_pi_s = exchange_j(r.p) @ lu_solve(factor, pi, trans=2).conj().T
-    out = np.empty((len(lams), 2 * r.p, 2 * r.p), dtype=complex)
-    resolvent = np.empty_like(pi)
-    for k, lam in enumerate(lams):
-        for i, d_i in enumerate(r.diag.d):
-            rows = slice(i * count, (i + 1) * count)
-            resolvent[rows] = solve_triangular(
-                np.eye(count) - 1j * lam * d_i * tri, pi[rows], lower=True)
-        out[k] = np.eye(2 * r.p) \
-            + 1j * lam * op.weight * (j_pi_s @ resolvent)
-    return out
+    j_pi_s = exchange_j(r.p) @ np.linalg.solve(op.matrix.T, pi.conj()).T
+    resolvents = _midpoint_resolvents(pi, r.diag.d, op.weight, lams)
+    return np.eye(2 * r.p) \
+        + 1j * op.weight * lams[:, None, None] * (j_pi_s @ resolvents)

@@ -173,10 +173,14 @@ def energy_inequality(
 # Grid oracles: the discrete operator identity and the node Gram matrix
 # ---------------------------------------------------------------------------
 
+def midpoint_integrator(count: int, h: float) -> np.ndarray:
+    """Lower-triangular midpoint rule for f -> integral_0^x f on the nodes."""
+    return h * (np.tril(np.ones((count, count)), -1) + 0.5 * np.eye(count))
+
+
 def volterra_matrix(r: Realization, count: int, h: float) -> np.ndarray:
     """Discrete A = i * D (x) (lower-triangular midpoint integration)."""
-    tri = h * (np.tril(np.ones((count, count)), -1) + 0.5 * np.eye(count))
-    return 1j * np.kron(np.diag(r.diag.d), tri)
+    return 1j * np.kron(np.diag(r.diag.d), midpoint_integrator(count, h))
 
 
 def identity_residual(r: Realization, count: int) -> float:

@@ -129,6 +129,33 @@ class TestHerglotzData:
                 data.density(t)
         assert np.isfinite(data.density(-1.0 + 1e-6)).all()
 
+    def test_density_at_an_eigenvalue_theta2_misses(self, seed10):
+        # A decoupled state (zero theta rows) with the real eigenvalue 0.4
+        # leaves phi unchanged; P theta2 = 0 for its projector P, so the
+        # density at t = 0.4 exists and is seed10's own.
+        n, p = seed10.n, seed10.p
+        beta = np.zeros((n + 1, n + 1), dtype=complex)
+        beta[:n, :n] = seed10.beta
+        beta[n, n] = 0.4
+
+        def pad(theta):
+            return np.vstack([theta, np.zeros((1, p))])
+
+        ext = Realization.build(pad(seed10.theta1), pad(seed10.theta2), beta,
+                                seed10.diag.d, seed10.length)
+        data = herglotz_data(WeylFunction(ext))
+        assert 0.4 in data.points
+        want = herglotz_data(WeylFunction(seed10)).density(0.4)
+        got = data.density(0.4)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_zero_data_density_at_its_eigenvalue(self, zero_data):
+        # beta = 0 and theta = 0: phi = iD/2, so rho(0) = D / 2 pi.
+        data = herglotz_data(WeylFunction(zero_data))
+        assert np.array_equal(data.points, [0.0])
+        assert np.array_equal(data.density(0.0),
+                              zero_data.diag.matrix / (2 * np.pi))
+
     def test_density_positive_semidefinite(self, seed10):
         data = herglotz_data(WeylFunction(seed10))
         for t in np.linspace(-4.0, 4.0, 20):

@@ -767,6 +767,17 @@ class TestWeyl:
         assert set(records[1]) == {"t", "error"}
         assert records[1]["error"].startswith("t = -1.0 is a real eigenvalue")
 
+    def test_zero_data_density_at_its_eigenvalue(self, zero_cfg, capsys):
+        # beta = 0 and theta2 = 0: t = 0 is beta's eigenvalue, but theta2
+        # misses it, so the density exists there and is D / 2 pi.
+        assert cli.main(["weyl", "--config", zero_cfg, "--lambda", "0.3,0.6",
+                         "--density", "0.0"]) == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[1])
+        d = zero_realization().diag.matrix
+        assert record == {"t": 0.0, "density": [
+            [[d[i, j].real / (2 * math.pi), 0.0] for j in range(2)]
+            for i in range(2)]}
+
     def test_density_requires_identity(self, singular_cfg, capsys):
         assert cli.main(["weyl", "--config", singular_cfg, "--lambda", "0,1",
                          "--density", "0.5"]) == 1

@@ -19,6 +19,7 @@ from dkinv.discretization import (
 from dkinv.inversion import FundamentalSolution, InverseKernel
 
 from conftest import (
+    ACCEPTANCE_CASES,
     bench_shape_realization,
     random_realization,
     scalar_realization,
@@ -29,6 +30,7 @@ from oracles import (
     Rk4Fundamental,
     fourier_transform_residual,
     identity_residual,
+    midpoint_integrator,
     node_gram,
     volterra_matrix,
 )
@@ -269,7 +271,9 @@ class TestPositivity:
         herm = 0.5 * (herm + herm.conj().T)
         assert discretization.lanczos_extremes(herm)[0] == pytest.approx(
             1.0, abs=1e-9)
+        before = herm.copy()
         assert not discretization._bounded_below(herm, 1.0 - 1e-10)
+        assert np.array_equal(herm, before)
         calls = []
         dense = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -281,6 +285,24 @@ class TestPositivity:
         assert calls == [(size, size)]
         assert low == pytest.approx(0.5, abs=1e-12)
         assert high == pytest.approx(3.0, abs=1e-12)
+
+    def test_lanczos_gives_up_at_its_cap(self, monkeypatch):
+        # The 1200-point second-difference operator has its two lowest
+        # eigenvalues at 6.8e-6 and 2.7e-5, at the bottom of (0, 4): 300
+        # steps do not resolve the minimum to 1e-12.  Past step 32 the
+        # tridiagonal is solved at every 4th step and the last, not at
+        # every step.
+        size = 1200
+        lap = (2.0 * np.eye(size) - np.eye(size, k=1)
+               - np.eye(size, k=-1)).astype(complex)
+        sizes = []
+        dense = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: sizes.append(a.shape[0]) or dense(a))
+        assert discretization.lanczos_extremes(lap) is None
+        every = discretization.LANCZOS_EVERY_STEP
+        assert sizes == [k + 1 for k in range(discretization.LANCZOS_MAX_DIM)
+                         if k < every or k % 4 == 3]
 
     @pytest.mark.parametrize("case", ["unconverged", "singular"])
     def test_fallbacks_return_dense_values(self, case, seed10, monkeypatch):
@@ -307,10 +329,13 @@ class TestPositivity:
 
     def test_hermitian_input_is_not_copied(self):
         op = discretize_operator(bench_shape_realization(), 200)
+        before = op.matrix.copy()
         _, peak = _traced_peak(lambda: positivity_spectrum(op))
         # One conjugate for the equality test; the skew part and the
         # symmetrized copy (two more full matrices) are not formed.
         assert peak <= 1.5 * op.matrix.nbytes
+        # The certificate's in-place shift is undone bit for bit.
+        assert np.array_equal(op.matrix, before)
 
     def test_near_hermitian_input_is_symmetrized(self, seed10):
         # A 1e-12 anti-Hermitian part is below the refusal threshold; the
@@ -401,6 +426,21 @@ class TestFourierResidual:
             fourier_transform_residual(scalar, 1.0 + 0.01j)
 
 
+def _dense_resolvents(r, count, h, lams, samples):
+    """(I - i lambda d_i T)^{-1} on each component block, by np.linalg.solve."""
+    tri = midpoint_integrator(count, h)
+    return np.array([np.vstack([
+        np.linalg.solve(np.eye(count) - 1j * lam * d_i * tri,
+                        samples[i * count:(i + 1) * count])
+        for i, d_i in enumerate(r.diag.d)]) for lam in lams])
+
+
+# verify's five lambdas, then lambda = 0, a real and a lower-half-plane one:
+# the scan is forward substitution and needs no sign of Im lambda.
+_SCAN_LAMBDAS = [0.3 + 0.6j, -0.4 + 0.9j, 1.1 + 0.5j, 0.2 + 1.4j,
+                 -0.9 + 0.7j, 0.0, 2.0, 0.4 - 0.8j]
+
+
 class TestDiscreteMatrizant:
     def test_lambda_zero_is_identity(self, seed10):
         w = discrete_matrizant(seed10, discretize_operator(seed10, 64), [0.0])[0]
@@ -417,15 +457,17 @@ class TestDiscreteMatrizant:
                                     [lam, np.conj(lam)])
         assert np.abs(w2.conj().T @ j @ w1 - j).max() <= 1e-3
 
-    @pytest.mark.parametrize("name", ["scalar", "seed10"])
+    @pytest.mark.parametrize("name",
+                             ["scalar", "seed10", "repeated", "bench_shape"])
     def test_matches_dense_solves(self, name, request):
         # Oracle: the defining formula with two dense solves per lambda,
-        # against the one LU factor and the per-component triangular solves.
+        # against the one solve of S^H and the scan for the resolvents.
         from dkinv.linalg import exchange_j
-        r = request.getfixturevalue(name)
+        r = random_realization(4, 3, 2, (2.0, 1.0, 1.0)) \
+            if name == "repeated" else _named_case(name, request)
         count = 64
         op = discretize_operator(r, count)
-        lams = [0.0, 0.3 + 0.6j, -0.9 + 0.7j]
+        lams = _SCAN_LAMBDAS
         got = discrete_matrizant(r, op, lams)
         assert got.shape == (len(lams), 2 * r.p, 2 * r.p)
         pi = profile_samples(r, op.nodes)
@@ -435,7 +477,7 @@ class TestDiscreteMatrizant:
                 np.eye(op.size) - lam * a_mat, pi))
             want = np.eye(2 * r.p) + 1j * lam * op.weight * (
                 exchange_j(r.p) @ pi.conj().T @ weighted)
-            assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape"])
     def test_matches_per_lambda_lu_solve(self, name, request):
@@ -447,7 +489,7 @@ class TestDiscreteMatrizant:
         op = discretize_operator(r, count)
         lams = [0.0, 0.3 + 0.6j, -0.9 + 0.7j, 2.0]
         pi = profile_samples(r, op.nodes)
-        tri = discretization._midpoint_integrator(count, op.weight)
+        tri = midpoint_integrator(count, op.weight)
         factor = lu_factor(op.matrix)
         got = discrete_matrizant(r, op, lams)
         for lam, w in zip(lams, got):
@@ -458,6 +500,31 @@ class TestDiscreteMatrizant:
             want = np.eye(2 * r.p) + 1j * lam * op.weight * (
                 exchange_j(r.p) @ pi.conj().T @ lu_solve(factor, resolvent))
             assert np.linalg.norm(w - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("length", [1.0, 10.0, 40.0])
+    def test_scan_matches_dense_solves_on_long_intervals(self, length):
+        # At l = 40 the lower-half-plane lambda grows the resolvent to about
+        # 1e27 of its data; the scan keeps forward substitution's relative
+        # accuracy there too.
+        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+        r = random_realization(seed, p, n, d, length, scale)
+        count = 400
+        xs, h = discretization._midpoint_nodes(length, count)
+        pi = profile_samples(r, xs)
+        lams = np.array(_SCAN_LAMBDAS, dtype=complex)
+        got = discretization._midpoint_resolvents(pi, r.diag.d, h, lams)
+        want = _dense_resolvents(r, count, h, lams, pi)
+        assert got.shape == want.shape == (lams.size, p * count, 2 * p)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+    def test_exactly_singular_matrix_raises(self, seed10):
+        op = discretize_operator(seed10, 16)
+        singular = discretization.DiscreteOperator(
+            nodes=op.nodes, weight=op.weight,
+            matrix=np.zeros_like(op.matrix), components=op.components)
+        with pytest.raises(np.linalg.LinAlgError):
+            discrete_matrizant(seed10, singular, [0.3 + 0.6j])
 
 
 class TestNodeGram:

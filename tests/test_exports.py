@@ -1,5 +1,6 @@
 """Every exported name resolves, and the CLI imports only what it runs."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -79,7 +80,7 @@ def _run_python(*args: str) -> str:
 
 
 def test_cli_import_loads_no_quadrature_modules():
-    # The CLI imports numpy alone (test_only_verify_loads_scipy);
+    # The CLI imports numpy alone (test_no_command_loads_scipy);
     # scipy.integrate and scipy.interpolate belong to the test oracles.
     code = ("import sys, dkinv.cli; print('\\n'.join(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'integrate'], "
@@ -106,19 +107,44 @@ print(json.dumps(runs))
 """
 
 
-def test_only_verify_loads_scipy(tmp_path):
-    # invert, recover and weyl run on numpy alone; verify's Nystrom checks
-    # are the one part of the package that imports scipy.
+def test_no_command_loads_scipy(tmp_path):
+    # The package runs on numpy alone, verify's Nystrom checks included;
+    # scipy is a test dependency only.
     config = write_config(tmp_path, config_dict(bench_shape_realization()))
     stdout = _run_python("-c", _COMMANDS_SCIPY_FREE, config,
                          str(tmp_path / "out.csv"), str(tmp_path / "report.json"))
     runs = json.loads(stdout.splitlines()[-1])
-    assert [(step, code, loaded) for step, code, loaded in runs[:-1]] == [
+    assert [(step, code, loaded) for step, code, loaded in runs] == [
         ("import dkinv", None, []), ("import dkinv.cli", None, []),
-        ("invert", 0, []), ("recover", 0, []), ("weyl", 0, [])]
-    step, code, loaded = runs[-1]
-    assert (step, code) == ("verify", 0)
-    assert "scipy.linalg" in loaded
+        ("invert", 0, []), ("recover", 0, []), ("weyl", 0, []),
+        ("verify", 0, [])]
+
+
+def _requirement_names(requirements):
+    return {re.split(r"[<>=!~ \[;]", req, maxsplit=1)[0] for req in requirements}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads(
+        (root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _requirement_names(project["dependencies"])
+    assert runtime == {"numpy"}
+    # The test extra covers every third-party module the suite imports
+    # (scipy and mpmath are its references), so `pip install .[test]`
+    # can run it.
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {"dkinv", "conftest", "oracles"}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party <= runtime | _requirement_names(
+        project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "dkinv.linalg"])
