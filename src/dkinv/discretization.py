@@ -8,18 +8,24 @@ never call into this one.
 
 Discrete objects follow a component-major layout: a block vector sample f
 on nodes x_0..x_{N-1} is flattened as f[i*N + a] = f_i(x_a), so operators
-on L^2-valued p-vectors become (p*N) x (p*N) matrices.
+on L^2-valued p-vectors become (p*N) x (p*N) matrices.  T_N is held dense.
+S_N is held as a block-semiseparable operator
+(:class:`SemiseparableOperator`): over the sorted dilated nodes it is dense
+diagonal blocks plus rank-n generators whose exponentials all run forward
+in time, so it is applied, factored and solved in time linear in p*N
+without ever being formed.
 
 Like the rest of the package it runs on numpy alone: the positivity
-certificate is ``np.linalg.cholesky``, Lanczos solves its small tridiagonal
-with ``np.linalg.eigh``, the transfer matrix takes one ``np.linalg.solve``
-of S^H and a vectorized scan for the midpoint resolvents.
+certificate is a block Cholesky factor of S_N, Lanczos solves its small
+tridiagonal with ``np.linalg.eigh``, the transfer matrix takes one solve
+with that factor and a vectorized scan for the midpoint resolvents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +33,13 @@ from .inversion import InverseKernel
 from .kernels import Realization
 # spectral_norm is read as discretization.spectral_norm by the benchmark's
 # composition check.
-from .linalg import (_start_vector, exchange_j, exp_samples, frob,
-                     operator_norm, spectral_norm)
+from .linalg import (_start_vector, exchange_j, exp_samples, operator_norm,
+                     spectral_norm)
 
 __all__ = [
+    "BlockCholesky",
     "DiscreteOperator",
+    "SemiseparableOperator",
     "composition_residual",
     "discrete_matrizant",
     "discretize_inverse",
@@ -46,6 +54,8 @@ LANCZOS_MAX_DIM = 300
 # Lanczos tests convergence at every step up to this dimension, then at
 # every 4th: each test is a dense O(k^3) eigh of the k x k tridiagonal.
 LANCZOS_EVERY_STEP = 32
+# Most sorted nodes in one diagonal block of S_N.
+BLOCK_SIZE = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,46 +72,267 @@ class DiscreteOperator:
         return self.matrix.shape[0]
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+@dataclass(frozen=True, eq=False)
+class SemiseparableOperator:
+    """The Nystrom S_N = I + h*K from its block-semiseparable generators.
+
+    With the dilated nodes z sorted and cut into blocks c, block c holds
+    its first node z0_c and last node z1_c, and for b > c the lower block
+    is S_bc = h R_b Phi_{b-1} E_{b-1} ... E_{c+1} Phi_c C_c with
+
+        R_c[u] = theta2^H e^{i (z_u - z0_c) beta^H}      (``rows``)
+        C_c[v] = e^{i (z1_c - z_v) beta^H} theta1        (``cols``)
+        E_c    = e^{i (z1_c - z0_c) beta^H}              (``spans``)
+        Phi_c  = e^{i (z0_{c+1} - z1_c) beta^H}          (``steps``);
+
+    every exponent is a nonnegative time, so under the structure identity
+    every factor is a contraction.  The upper blocks are the adjoints.
+    ``diag`` holds the dense diagonal blocks S_cc, and the block arrays are
+    zero-padded to the largest block; ``slots`` maps each component-major
+    index to its padded (block, offset) slot.
+    """
+
+    nodes: np.ndarray    # midpoint nodes, shape (N,)
+    weight: float        # uniform quadrature weight h = l / N
+    components: int      # p
+    slots: np.ndarray    # (p*N,) block * width + offset of each index
+    sizes: np.ndarray    # (B,) nodes per block
+    diag: np.ndarray     # (B, width, width) diagonal blocks S_cc
+    rows: np.ndarray     # (B, width, n) R_c
+    cols: np.ndarray     # (B, n, width) C_c
+    spans: np.ndarray    # (B, n, n) E_c
+    steps: np.ndarray    # (B - 1, n, n) Phi_c
+
+    @property
+    def size(self) -> int:
+        return self.slots.size
+
+    def _pad(self, x: np.ndarray) -> np.ndarray:
+        """Component-major (p*N, k) samples as padded blocks (B, width, k)."""
+        blocks, width = self.diag.shape[:2]
+        flat = np.zeros((blocks * width, x.shape[1]), dtype=complex)
+        flat[self.slots] = x
+        return flat.reshape(blocks, width, -1)
+
+    def _unpad(self, blocks: np.ndarray, shape) -> np.ndarray:
+        return blocks.reshape(-1, blocks.shape[-1])[self.slots].reshape(shape)
+
+    def matvec(self, x) -> np.ndarray:
+        """S_N x for a vector or a (p*N, k) block of vectors.
+
+        One forward pass carries sum_{c<b} Phi_{b-1} E_{b-1} ... Phi_c C_c
+        x_c from block to block for the lower triangle, one backward pass
+        its adjoint for the upper; the diagonal blocks are one batched
+        product.
+        """
+        x = np.asarray(x)
+        xp = self._pad(x.reshape(self.size, -1))
+        lower = self.steps @ (self.cols[:-1] @ xp[:-1])     # Phi_c C_c x_c
+        upper = _adjoint(self.steps) @ (_adjoint(self.rows[1:]) @ xp[1:])
+        fwd = self.steps @ self.spans[:-1]                  # Phi_c E_c
+        bwd = _adjoint(self.spans[1:] @ self.steps)         # (E_c Phi_{c-1})^H
+        s = np.zeros((len(self.sizes),) + lower.shape[1:], dtype=complex)
+        t = np.zeros_like(s)
+        for c in range(len(self.sizes) - 1):
+            s[c + 1] = fwd[c] @ s[c] + lower[c]
+        for c in range(len(self.sizes) - 1, 0, -1):
+            t[c - 1] = bwd[c - 1] @ t[c] + upper[c - 1]
+        y = self.diag @ xp + self.weight * (self.rows @ s
+                                            + _adjoint(self.cols) @ t)
+        return self._unpad(y, x.shape)
+
+    def factor(self, sigma: float) -> Optional["BlockCholesky"]:
+        """Block Cholesky factor of S_N - sigma*I, or None where none exists.
+
+        The generator-form recurrence of Eidelman and Gohberg (Integral
+        Equations Operator Theory 34, 1999): with F = 0 to start, block c
+        takes L_cc = chol(S_cc - sigma I - R_c F R_c^H), the generator
+        G_c = (h C_c - E_c F R_c^H) L_cc^{-H} of its lower blocks
+        L_bc = R_b Phi_{b-1} ... Phi_c G_c, and passes on
+        F = Phi_c (E_c F E_c^H + G_c G_c^H) Phi_c^H.  The pivots are those
+        of a dense Cholesky factor of the same matrix, so it fails where
+        that one does; by Sylvester's law of inertia success proves that
+        no eigenvalue of S_N lies below sigma.
+        """
+        h = self.weight
+        state = np.zeros(self.spans.shape[1:], dtype=complex)
+        # Padded slots keep an identity diagonal block and a zero generator.
+        chols = np.zeros_like(self.diag)
+        chols[:, np.arange(chols.shape[1]), np.arange(chols.shape[1])] = 1.0
+        gens = np.zeros_like(self.cols)
+        for c, m in enumerate(self.sizes):
+            row, span = self.rows[c, :m], self.spans[c]
+            fr = state @ row.conj().T
+            pivot = self.diag[c, :m, :m] - row @ fr
+            pivot[np.diag_indices(m)] -= sigma
+            try:
+                chol = np.linalg.cholesky(pivot)
+            except np.linalg.LinAlgError:
+                return None
+            # G_c^H = L_cc^{-1} (h C_c - E_c F R_c^H)^H
+            gen = np.linalg.solve(
+                chol, (h * self.cols[c, :, :m] - span @ fr).conj().T)
+            gen = gen.conj().T
+            chols[c, :m, :m], gens[c, :, :m] = chol, gen
+            if c < len(self.steps):
+                step = self.steps[c]
+                state = step @ (span @ state @ span.conj().T
+                                + gen @ gen.conj().T) @ step.conj().T
+        return BlockCholesky(self, chols, gens)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (p*N) x (p*N) S_N: S_N applied to the identity, with
+        its lower triangle mirrored so that the result is exactly
+        Hermitian.  Only the eigvalsh fallback of
+        :func:`positivity_spectrum` and the references need it."""
+        dense = self.matvec(np.eye(self.size, dtype=complex))
+        return np.tril(dense) + np.tril(dense, -1).conj().T
+
+
+@dataclass(frozen=True, eq=False)
+class BlockCholesky:
+    """S_N - sigma*I = L L^H from :meth:`SemiseparableOperator.factor`.
+
+    Padded like ``op``: ``chols`` holds the diagonal blocks L_cc
+    (B, width, width), ``gens`` the generators G_c (B, n, width) of the
+    lower blocks L_bc = R_b Phi_{b-1} E_{b-1} ... Phi_c G_c.
+    """
+
+    op: SemiseparableOperator
+    chols: np.ndarray
+    gens: np.ndarray
+
+    def solve(self, rhs) -> np.ndarray:
+        """(S_N - sigma I)^{-1} rhs for a vector or a (p*N, k) block.
+
+        Forward substitution with L carries sum_{c<b} Phi_{b-1} ... Phi_c
+        G_c y_c forward, back substitution with L^H carries its adjoint
+        backward: the recurrences of the matvec.
+        """
+        op = self.op
+        rhs = np.asarray(rhs)
+        blocks = op._pad(rhs.reshape(op.size, -1))
+        inverses = np.linalg.inv(self.chols)
+        state = np.zeros((op.spans.shape[1], blocks.shape[2]), dtype=complex)
+        for c in range(len(op.sizes)):
+            blocks[c] = inverses[c] @ (blocks[c] - op.rows[c] @ state)
+            if c < len(op.steps):
+                state = op.steps[c] @ (op.spans[c] @ state
+                                       + self.gens[c] @ blocks[c])
+        inverses_h, gens_h = _adjoint(inverses), _adjoint(self.gens)
+        rows_h, back = _adjoint(op.rows), _adjoint(op.spans[1:] @ op.steps)
+        state = np.zeros_like(state)
+        for c in range(len(op.sizes) - 1, -1, -1):
+            blocks[c] = inverses_h[c] @ (blocks[c] - gens_h[c] @ state)
+            if c > 0:
+                # Phi_{c-1}^H (E_c^H t + R_c^H x_c)
+                state = back[c - 1] @ state \
+                    + op.steps[c - 1].conj().T @ (rows_h[c] @ blocks[c])
+        return op._unpad(blocks, rhs.shape)
+
+
 def _midpoint_nodes(length: float, count: int) -> Tuple[np.ndarray, float]:
     h = length / count
     return (np.arange(count) + 0.5) * h, h
 
 
-def discretize_operator(r: Realization, count: int) -> DiscreteOperator:
-    """Nystrom matrix of S = I + integral operator on [0, l].
+def _block_starts(z: np.ndarray, tol: float, reach: float) -> np.ndarray:
+    """Starts of the blocks of the sorted nodes z, and len(z) last.
+
+    A block ends after BLOCK_SIZE nodes, or earlier where its span would
+    pass ``reach``; a cut never falls between two nodes within ``tol`` of
+    each other, so a tie group that overruns those limits stays whole.
+    """
+    free = np.append(np.flatnonzero(np.diff(z) > tol) + 1, z.size)
+    starts = [0]
+    while starts[-1] < z.size:
+        s = starts[-1]
+        limit = min(s + BLOCK_SIZE,
+                    int(np.searchsorted(z, z[s] + reach, side="right")))
+        k = int(np.searchsorted(free, limit, side="right")) - 1
+        if k < 0 or free[k] <= s:
+            k = int(np.searchsorted(free, s, side="right"))
+        starts.append(int(free[k]))
+    return np.array(starts)
+
+
+def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
+    """Nystrom operator S = I + integral operator on [0, l], in generator form.
 
     The kernel block (i, j) is sampled at (d_i x_a - d_j x_b); values with
     positive argument come from the exponential form, negative ones from its
     Hermitian reflection, and near-collisions (within 1e-13 of the interval
-    scale) are averaged so the matrix is exactly Hermitian whenever the data
-    produce a Hermitian kernel.
+    scale) are averaged so the operator is exactly Hermitian whenever the
+    data produce a Hermitian kernel.  The p*N dilated nodes are sorted
+    (stably) and cut into blocks of at most BLOCK_SIZE nodes, each of span
+    at most 2 / ||beta - beta^H||_2, over which e^{-i y beta^H} grows by at
+    most e.  A diagonal block is the rank-n product of rows
+    theta2^H e^{i (z_u - z0) beta^H} and columns e^{-i (z_v - z0) beta^H}
+    theta1 split at its first node z0, mirrored and averaged as above; the
+    blocks off the diagonal take the generators of
+    :class:`SemiseparableOperator`.  All exponentials come from one
+    :func:`exp_samples` call.
     """
     if count < 8:
         raise ValueError("need at least 8 quadrature nodes")
     xs, h = _midpoint_nodes(r.length, count)
     p, d = r.p, r.diag.d
     coords = np.kron(d, xs)
-    comp = np.repeat(np.arange(p), count)
-    # Rows theta2[:, i]^H e^{i y beta^H} and columns e^{-i y beta^H}
-    # theta1[:, i] at y = d_i x_a: one exp_samples call for each sign.
-    gen = 1j * r.beta.conj().T
-    row_block = np.einsum("av,avw->aw", r.theta2.conj().T[comp],
-                          exp_samples(gen, coords))
-    col_block = np.einsum("avw,aw->va", exp_samples(gen, -coords),
-                          r.theta1.T[comp])
-
-    matrix = row_block @ col_block         # valid where d_i x_a >= d_j x_b
-    diff = coords[:, None] - coords[None, :]
+    order = np.argsort(coords, kind="stable")
+    z = coords[order]
+    comp = order // count
     tol = 1e-13 * d[0] * max(r.length, 1.0)
-    below, near = diff < -tol, np.abs(diff) <= tol
-    # Mirror (conjugate-transpose) entries are read from the valid side,
-    # which neither write touches.
-    mirror = matrix.T[below]
-    matrix[below] = np.conjugate(mirror, out=mirror)
-    matrix[near] = 0.5 * (matrix[near] + matrix.T[near].conj())
-    matrix *= h
-    matrix[np.diag_indices(p * count)] += 1.0
-    return DiscreteOperator(nodes=xs, weight=h, matrix=matrix, components=p)
+    growth = 0.5 * np.linalg.norm(r.beta - r.beta.conj().T, 2)
+    reach = 1.0 / growth if growth > 0.0 else np.inf
+    starts = _block_starts(z, tol, reach)
+    sizes = np.diff(starts)
+    blocks, width, size = sizes.size, int(sizes.max()), p * count
+
+    # Block and offset of every sorted node; z0, z1 per block.
+    block_of = np.repeat(np.arange(blocks), sizes)
+    offset = np.arange(size) - starts[:-1][block_of]
+    first, last = z[starts[:-1]], z[starts[1:] - 1]
+    gen = 1j * r.beta.conj().T
+    exps = exp_samples(gen, np.concatenate([
+        z - first[block_of],            # rows
+        last[block_of] - z,             # columns off the diagonal
+        first[block_of] - z,            # columns of the diagonal blocks
+        last - first,                   # spans
+        first[1:] - last[:-1],          # steps
+    ]))
+    row_exp, col_exp, diag_exp = np.split(exps[:3 * size], 3)
+
+    def padded(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((blocks, width) + values.shape[1:], dtype=values.dtype)
+        out[block_of, offset] = values
+        return out
+
+    rows = padded(np.einsum("av,avw->aw", r.theta2.conj().T[comp], row_exp))
+    cols = padded(np.einsum("avw,aw->av", col_exp, r.theta1.T[comp]))
+    diag_cols = padded(np.einsum("avw,aw->av", diag_exp, r.theta1.T[comp]))
+    # Diagonal blocks: valid where z_u >= z_v, mirrored below, averaged at
+    # near-collisions; padded entries stay zero.
+    prod = rows @ diag_cols.swapaxes(1, 2)
+    mirror = _adjoint(prod)
+    zp = padded(z)
+    diff = zp[:, :, None] - zp[:, None, :]
+    diag = np.where(diff > tol, prod,
+                    np.where(diff < -tol, mirror, 0.5 * (prod + mirror)))
+    diag *= h
+    occupied = np.arange(width)
+    diag[:, occupied, occupied] += occupied < sizes[:, None]
+    slots = np.empty(size, dtype=int)
+    slots[order] = block_of * width + offset
+    return SemiseparableOperator(
+        nodes=xs, weight=h, components=p, slots=slots, sizes=sizes,
+        diag=diag, rows=rows, cols=cols.swapaxes(1, 2),
+        spans=exps[3 * size:3 * size + blocks], steps=exps[3 * size + blocks:])
 
 
 def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
@@ -118,46 +349,27 @@ def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
                             components=r.p)
 
 
-def composition_residual(kernel: InverseKernel, op: DiscreteOperator) -> float:
+def composition_residual(kernel: InverseKernel,
+                         op: SemiseparableOperator) -> float:
     """||T_N S_N - I||_2 for S_N = ``op`` and T_N = I + inverse kernel.
 
-    T_N is built on the nodes of ``op`` and lives only for this call.  The
-    norm comes from power iteration on the matvecs v -> T(Sv) - v and
-    w -> conj((conj(w) T) S) - w, so neither the product nor a conjugate
-    transpose is formed.
+    T_N is built dense on the nodes of ``op`` and lives only for this call;
+    S_N enters through its matvec.  The norm comes from power iteration on
+    v -> T(Sv) - v and its adjoint w -> S(conj(conj(w) T)) - w (S_N is
+    Hermitian), so neither the product nor a conjugate transpose of T_N is
+    formed.
     """
     t_mat = discretize_inverse(kernel, op.nodes.size).matrix
-    s_mat = op.matrix
-    return operator_norm(lambda v: t_mat @ (s_mat @ v) - v,
-                         lambda w: ((w.conj() @ t_mat) @ s_mat).conj() - w,
+    return operator_norm(lambda v: t_mat @ op.matvec(v) - v,
+                         lambda w: op.matvec((w.conj() @ t_mat).conj()) - w,
                          op.size)
 
 
-def _bounded_below(herm: np.ndarray, shift: float) -> bool:
-    """True iff herm - shift*I has a Cholesky factor.
+def lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray],
+                     size: int) -> Optional[Tuple[float, float]]:
+    """Extreme Ritz values (theta_min, theta_max) of a Hermitian operator.
 
-    By Sylvester's law of inertia success proves that no eigenvalue of the
-    Hermitian ``herm`` lies below ``shift``.  The shift is applied to
-    ``herm`` in place and its diagonal restored from a copy afterwards, so
-    the factor is the one n x n array allocated.  It factors herm.T, which
-    is conj(herm) with the same spectrum: numpy's lower Cholesky is faster
-    on that Fortran-ordered view.
-    """
-    diag = np.diag_indices_from(herm)
-    saved = herm[diag]
-    herm[diag] -= shift
-    try:
-        np.linalg.cholesky(herm.T)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        herm[diag] = saved
-    return True
-
-
-def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
-    """Extreme Ritz values (theta_min, theta_max) of a Hermitian matrix.
-
+    ``matvec`` applies the operator to a vector of length ``size``.
     Lanczos with full reorthogonalization from the start vector of
     :func:`spectral_norm`, stopping once the residual bound |beta_k y_k| of
     both extreme Ritz values is at most 1e-12 max(1, |theta|).  Returns None
@@ -169,7 +381,6 @@ def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
     The test runs at every step up to LANCZOS_EVERY_STEP, then at every 4th
     step, the last one and on breakdown (beta_k = 0).
     """
-    size = h.shape[0]
     steps = min(LANCZOS_MAX_DIM, size)
     basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
     # The tridiagonal, lower triangle only; row k + 1 takes beta_k.
@@ -179,7 +390,7 @@ def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
     for k in range(steps):
         basis[k] = q
         active = basis[:k + 1]
-        w = h @ q
+        w = matvec(q)
         coef = active.conj() @ w
         tri[k, k] = coef[k].real
         w -= coef @ active
@@ -196,38 +407,27 @@ def lanczos_extremes(h: np.ndarray) -> Optional[Tuple[float, float]]:
     return None
 
 
-def positivity_spectrum(op: DiscreteOperator) -> Tuple[float, float]:
-    """Extreme eigenvalues of the (Hermitian) discretized operator.
+def positivity_spectrum(op: SemiseparableOperator) -> Tuple[float, float]:
+    """Extreme eigenvalues of the Hermitian S_N.
 
-    Refuses matrices whose anti-Hermitian part exceeds discretization dust;
-    the remaining symmetrization only removes rounding noise, and is
-    skipped when the matrix is exactly Hermitian, as the S_N of
-    :func:`discretize_operator` is.  The extremes come from Lanczos
-    (:func:`lanczos_extremes`).  The minimum theta is certified by a
-    Cholesky factor of H - (theta - delta) I with
+    The extremes come from Lanczos on the matvec
+    (:func:`lanczos_extremes`).  The minimum theta is certified by a block
+    Cholesky factor of S_N - (theta - delta) I with
     delta = 1e-10 max(1, |theta|), so the true minimum lies in
     [theta - delta, theta]; the maximum is a Ritz value, a lower bound on
     the true maximum.
-    A dense ``eigvalsh`` answers instead when Lanczos does not converge, the
-    certificate fails, or theta <= delta: near a singular or indefinite
-    operator the sign of the minimum is rounding noise.
+    A dense ``eigvalsh`` of the assembled matrix answers instead when
+    Lanczos does not converge, the certificate fails, or theta <= delta:
+    near a singular or indefinite operator the sign of the minimum is
+    rounding noise.
     """
-    herm = op.matrix
-    if not np.array_equal(herm, herm.conj().T):
-        skew = frob(herm - herm.conj().T)
-        if skew > 1e-8 * (1.0 + frob(herm)):
-            raise ValueError(
-                f"matrix is not Hermitian (skew part {skew:.3e}); "
-                "positivity is undefined"
-            )
-        herm = 0.5 * (herm + herm.conj().T)
-    ritz = lanczos_extremes(herm)
+    ritz = lanczos_extremes(op.matvec, op.size)
     if ritz is not None:
         low, high = ritz
         delta = 1e-10 * max(1.0, abs(low))
-        if low > delta and _bounded_below(herm, low - delta):
+        if low > delta and op.factor(low - delta) is not None:
             return low, high
-    evals = np.linalg.eigvalsh(herm)
+    evals = np.linalg.eigvalsh(op.matrix)
     return float(evals[0]), float(evals[-1])
 
 
@@ -269,23 +469,27 @@ def _midpoint_resolvents(samples: np.ndarray, d: np.ndarray, h: float,
     return ys.transpose(1, 2, 0, 3).reshape(lams.size, p * count, -1)
 
 
-def discrete_matrizant(r: Realization, op: DiscreteOperator,
+def discrete_matrizant(r: Realization, op: SemiseparableOperator,
                        lams: Sequence[complex]) -> np.ndarray:
     """Transfer-function values of the discrete system, one per lambda.
 
     W_N = I + i*lambda*h * J Pi^H S^{-1} (I - lambda A)^{-1} Pi, the exact
     matrizant of the discretized problem; it converges to the canonical
     system's matrizant at the right endpoint as the grid refines.  ``op`` is
-    the Nystrom matrix S of ``r``.  Pi^H S^{-1} = X^H for S^H X = Pi, one
-    solve for all lambdas, taken as S^T conj(X) = conj(Pi) so that no
-    conjugate copy of S is made; an exactly singular S raises
-    ``LinAlgError``.  A = i*D (x) tri is block-diagonal in the
-    component-major layout, and :func:`_midpoint_resolvents` applies
-    (I - lambda A)^{-1}.  Returns shape (len(lams), 2p, 2p).
+    the Nystrom operator S of ``r``.  Pi^H S^{-1} = X^H for S X = Pi (S is
+    Hermitian), one solve for all lambdas with the block Cholesky factor of
+    S; an S without one (not positive definite) raises ``LinAlgError``.
+    A = i*D (x) tri is block-diagonal in the component-major layout, and
+    :func:`_midpoint_resolvents` applies (I - lambda A)^{-1}.  Returns shape
+    (len(lams), 2p, 2p).
     """
     lams = np.asarray(lams, dtype=complex)
+    chol = op.factor(0.0)
+    if chol is None:
+        raise np.linalg.LinAlgError(
+            "S_N is not positive definite: it has no Cholesky factor")
     pi = profile_samples(r, op.nodes)
-    j_pi_s = exchange_j(r.p) @ np.linalg.solve(op.matrix.T, pi.conj()).T
+    j_pi_s = exchange_j(r.p) @ chol.solve(pi).conj().T
     resolvents = _midpoint_resolvents(pi, r.diag.d, op.weight, lams)
     return np.eye(2 * r.p) \
         + 1j * op.weight * lams[:, None, None] * (j_pi_s @ resolvents)

@@ -4,9 +4,10 @@ None of these run in the CLI.  Each one reaches its answer by a route the
 production code does not take: adaptive quadrature of the triangular
 factor, a cubic spline and Runge-Kutta for the canonical system's
 matrizant, classical RK4 for the fundamental solution, a finite-difference
-Gram matrix for H(x), the discrete operator identity, direct Fourier
-quadrature of the kernel column for the Weyl function, and a 40-digit
-mpmath matrix exponential.
+Gram matrix for H(x), the discrete operator identity, the Nystrom S_N both
+as the dense nested-where matrix and as a node-by-node sweep of contraction
+steps, direct Fourier quadrature of the kernel column for the Weyl
+function, and a 40-digit mpmath matrix exponential.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad_vec, simpson
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from dkinv.canonical import HamiltonianGrid, WeylFunction, weyl_value
 from dkinv.discretization import discretize_operator, profile_samples
 from dkinv.inversion import InverseKernel
 from dkinv.kernels import Realization
-from dkinv.linalg import exchange_j, frob, mat_exp, spectral_norm
+from dkinv.linalg import (exchange_j, exp_samples, frob, mat_exp,
+                          spectral_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,99 @@ def node_gram(r: Realization, x: float, count: int) -> np.ndarray:
     op = discretize_operator(rx, count)
     pi = profile_samples(rx, op.nodes)
     return op.weight * (pi.conj().T @ np.linalg.solve(op.matrix, pi))
+
+
+# ---------------------------------------------------------------------------
+# Nystrom S_N: dense, and as a sweep of contraction steps
+# ---------------------------------------------------------------------------
+
+def _dilated_nodes(r: Realization, count: int):
+    """(h, component-major dilated nodes d_i x_a, tie tolerance)."""
+    h = r.length / count
+    coords = np.kron(r.diag.d, (np.arange(count) + 0.5) * h)
+    return h, coords, 1e-13 * r.diag.d[0] * max(r.length, 1.0)
+
+
+def nested_where_operator(r: Realization, count: int, exps=exp_samples):
+    """Dense S_N by the nested np.where of the original implementation.
+
+    Rows theta2[:, i]^H e^{i y beta^H} and columns e^{-i y beta^H}
+    theta1[:, i] at y = d_i x_a take their exponentials from
+    ``exps(gen, ys)``, the stack of e^{y gen}; their product is the kernel
+    where d_i x_a >= d_j x_b, its conjugate transpose the other side, and
+    near-collisions are averaged.  The column factor grows like
+    e^{y ||beta - beta^H|| / 2}, so the product cancels terms of that size:
+    a reference for short intervals only.  Returns (S_N, diff, tol), diff
+    the matrix of node differences.
+    """
+    h, coords, tol = _dilated_nodes(r, count)
+    comp = np.repeat(np.arange(r.p), count)
+    gen = 1j * r.beta.conj().T
+    row_block = np.einsum("av,avw->aw", r.theta2.conj().T[comp],
+                          exps(gen, coords))
+    col_block = np.einsum("avw,aw->va", exps(gen, -coords),
+                          r.theta1.T[comp])
+    upper = row_block @ col_block
+    mirror = upper.conj().T
+    diff = coords[:, None] - coords[None, :]
+    kernel = np.where(diff > tol, upper,
+                      np.where(diff < -tol, mirror, 0.5 * (upper + mirror)))
+    return np.eye(r.p * count, dtype=complex) + h * kernel, diff, tol
+
+
+def sequential_nystrom_matvec(r: Realization, count: int,
+                              x: np.ndarray) -> np.ndarray:
+    """S_N x by one sweep up and one down the sorted dilated nodes.
+
+    Nodes within the tie tolerance of their neighbour form a group.  The
+    upward sweep carries sum_v e^{i (z - z_v) beta^H} theta1 x_v over the
+    finished groups, the downward one sum_v e^{-i (z_v - z) beta} theta2 x_v,
+    so every step is e^{D i beta^H} or e^{-D i beta} with D >= 0, a
+    contraction under the structure identity, each from scipy's expm.
+    Pairs within a group are averaged with their reflection, as in
+    :func:`nested_where_operator`.  Bounded on any interval length.
+    """
+    h, coords, tol = _dilated_nodes(r, count)
+    order = np.argsort(coords, kind="stable")
+    z = coords[order]
+    comp = order // count
+    th1, th2 = r.theta1.T[comp], r.theta2.T[comp]   # per sorted node
+    xs = np.asarray(x, dtype=complex).reshape(coords.size, -1)[order]
+    up, down = 1j * r.beta.conj().T, -1j * r.beta
+    groups = np.split(np.arange(z.size), np.flatnonzero(np.diff(z) > tol) + 1)
+    y = xs.copy()
+    for g in groups:
+        for u in g:
+            for v in g:
+                near = 0.5 * (th2[u].conj() @ expm((z[u] - z[v]) * up) @ th1[v]
+                              + th1[u].conj() @ expm((z[v] - z[u]) * down)
+                              @ th2[v])
+                y[u] += h * near * xs[v]
+    state, at = np.zeros((r.n, xs.shape[1]), dtype=complex), z[0]
+    for g in groups:
+        state = expm((z[g[0]] - at) * up) @ state
+        at = z[g[0]]
+        for u in g:
+            y[u] += h * th2[u].conj() @ expm((z[u] - at) * up) @ state
+        last = z[g[-1]]
+        state = expm((last - at) * up) @ state
+        for v in g:
+            state += expm((last - z[v]) * up) @ np.outer(th1[v], xs[v])
+        at = last
+    state, at = np.zeros_like(state), z[-1]
+    for g in reversed(groups):
+        state = expm((at - z[g[-1]]) * down) @ state
+        at = z[g[-1]]
+        for u in g:
+            y[u] += h * th1[u].conj() @ expm((at - z[u]) * down) @ state
+        first = z[g[0]]
+        state = expm((at - first) * down) @ state
+        for v in g:
+            state += expm((z[v] - first) * down) @ np.outer(th2[v], xs[v])
+        at = first
+    out = np.empty_like(y)
+    out[order] = y
+    return out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------

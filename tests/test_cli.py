@@ -1,6 +1,5 @@
 """Command-line interface: config parsing, commands, exit codes."""
 
-import dataclasses
 import json
 import math
 import re
@@ -676,39 +675,65 @@ class TestVerify:
         assert calls == {"discretize_operator": 1, "profile_samples": 1}
 
     def test_full_level_forms_no_dense_spectrum_or_product(
-            self, seed10_cfg, seed10, tmp_path, monkeypatch):
-        # S_N and T_N come back as arrays that log every product of two
-        # (pN) x (pN) matrices; positivity must be certified without a
-        # dense eigvalsh.
-        size = seed10.p * 400
-        products = []
+            self, bench_cfg, tmp_path, monkeypatch):
+        # No Cholesky factor, solve or spectrum of an operand with p*N rows
+        # or more: S_N is factored block by block, positivity is certified
+        # without a dense eigvalsh, and T_N only multiplies vectors.
+        size = bench_shape_realization().p * 400
+        calls = {"cholesky": [], "solve": [], "eigvalsh": []}
+        for name, shapes in calls.items():
+            def counted(a, *args, _original=getattr(np.linalg, name),
+                        _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        class Watched(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, out=None,
-                                **kwargs):
-                args = [np.asarray(a) for a in inputs]
-                if ufunc is np.matmul and all(
-                        a.shape == (size, size) for a in args):
-                    products.append(ufunc)
-                if out is not None:
-                    kwargs["out"] = tuple(np.asarray(o) for o in out)
-                return getattr(ufunc, method)(*args, **kwargs)
-
-        def watched(build):
-            def wrapper(*args, **kwargs):
-                op = build(*args, **kwargs)
-                return dataclasses.replace(op, matrix=op.matrix.view(Watched))
-            return wrapper
-
-        for name in ("discretize_operator", "discretize_inverse"):
-            monkeypatch.setattr(discretization, name,
-                                watched(getattr(discretization, name)))
-        spectra = []
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a, *args, **kwargs: spectra.append(a.shape))
-        assert cli.main(["verify", "--config", seed10_cfg, "--level", "full",
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert cli.main(["verify", "--config", bench_cfg, "--level", "full",
                          "--report", str(tmp_path / "r.json")]) == 0
-        assert products == [] and spectra == []
+        assert len(calls["cholesky"]) >= 2
+        assert {name: [shape for shape in shapes if shape[-2] >= size]
+                for name, shapes in calls.items()} == {
+                    name: [] for name in calls}
+
+    def test_full_level_allocates_no_dense_s_n(self, bench_cfg, tmp_path,
+                                              monkeypatch):
+        # Each Nystrom stage runs under tracemalloc, and what it allocates
+        # above its starting point stays below half of one (p*N) x (p*N)
+        # complex array (23 MB here).  The composition stage counts from
+        # the moment its dense T_N is built, the one such array allowed.
+        size = bench_shape_realization().p * 400
+        grown, base = {}, []
+
+        def watched(name, build_only=False):
+            original = getattr(discretization, name)
+
+            def wrapper(*args, **kwargs):
+                if build_only:
+                    out = original(*args, **kwargs)
+                    tracemalloc.reset_peak()
+                    base[-1] = tracemalloc.get_traced_memory()[0]
+                    return out
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+                out = original(*args, **kwargs)
+                grown[name] = tracemalloc.get_traced_memory()[1] - base.pop()
+                return out
+
+            monkeypatch.setattr(discretization, name, wrapper)
+
+        for name in ("discretize_operator", "composition_residual",
+                     "positivity_spectrum", "discrete_matrizant"):
+            watched(name)
+        watched("discretize_inverse", build_only=True)
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--config", bench_cfg, "--level",
+                             "full", "--report", str(tmp_path / "r.json")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert sorted(grown) == ["composition_residual", "discrete_matrizant",
+                                 "discretize_operator", "positivity_spectrum"]
+        assert max(grown.values()) <= 0.5 * 16 * size ** 2, grown
 
     def test_unknown_level_is_usage_error(self, scalar_cfg, tmp_path):
         # argparse rejects the choice; the tool maps usage errors to 1.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, lu_factor, lu_solve, solve_triangular
 
-from dkinv import discretization, inversion, linalg
+from dkinv import discretization, inversion, kernels, linalg
 from dkinv.discretization import (
     composition_residual,
     discrete_matrizant,
@@ -31,7 +31,9 @@ from oracles import (
     fourier_transform_residual,
     identity_residual,
     midpoint_integrator,
+    nested_where_operator,
     node_gram,
+    sequential_nystrom_matvec,
     volterra_matrix,
 )
 
@@ -52,51 +54,98 @@ def _pade_samples(gen, ys):
     return expm(np.asarray(ys)[:, None, None] * gen)
 
 
-def _nested_where_operator(r, count, exps=linalg.exp_samples):
-    """S_N built with the nested np.where of the original implementation.
+def _case(name, request):
+    """_named_case, plus "repeated": d = (2, 1, 1), whose equal dilations put
+    exact collisions d_i x_a = d_j x_b off the diagonal."""
+    if name == "repeated":
+        return random_realization(4, 3, 2, (2.0, 1.0, 1.0))
+    return _named_case(name, request)
 
-    The row and column blocks theta2[:, i]^H e^{i y beta^H} and
-    e^{-i y beta^H} theta1[:, i] at y = d_i x_a take their exponentials
-    from ``exps(gen, ys)``, the stack of e^{y gen}.
-    """
-    xs, h = discretization._midpoint_nodes(r.length, count)
-    p, d = r.p, r.diag.d
-    coords = np.kron(d, xs)
-    comp = np.repeat(np.arange(p), count)
-    gen = 1j * r.beta.conj().T
-    row_block = np.einsum("av,avw->aw", r.theta2.conj().T[comp],
-                          exps(gen, coords))
-    col_block = np.einsum("avw,aw->va", exps(gen, -coords),
-                          r.theta1.T[comp])
-    upper = row_block @ col_block
-    mirror = upper.conj().T
-    diff = coords[:, None] - coords[None, :]
-    tol = 1e-13 * d[0] * max(r.length, 1.0)
-    kernel = np.where(diff > tol, upper,
-                      np.where(diff < -tol, mirror, 0.5 * (upper + mirror)))
-    return np.eye(p * count, dtype=complex) + h * kernel, diff, tol
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class _DenseOperator:
+    """A Hermitian matrix behind the interface positivity_spectrum reads."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.size = matrix.shape[0]
+
+    def matvec(self, x):
+        return self.matrix @ x
+
+    def factor(self, sigma):
+        try:
+            np.linalg.cholesky(self.matrix - sigma * np.eye(self.size))
+        except np.linalg.LinAlgError:
+            return None
+        return self
 
 
 class TestDiscretizeOperator:
     @pytest.mark.parametrize("case", ["scalar", "seed10", "repeated"])
     def test_matches_nested_where_formula(self, case, request):
-        # The in-place masked build must reproduce the reference bit for bit
-        # when both take their exponentials from exp_samples, and agree to
-        # rounding with blocks from one Pade expm per node; the repeated
-        # dilation (d_2 = d_3) puts exact collisions d_i x_a = d_j x_b off
-        # the diagonal, so the averaged branch is exercised.
-        if case == "repeated":
-            r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
-        else:
-            r = request.getfixturevalue(case)
+        # The blocked build splits each diagonal block at its first node,
+        # not at 0, and carries the rest through contraction generators; on
+        # l = 1 it agrees with the nested-where matrix to rounding, with
+        # exponentials from exp_samples or from one Pade expm per node.  The
+        # repeated dilation exercises the averaged branch off the diagonal.
+        r = _case(case, request)
         count = 24
-        want, diff, tol = _nested_where_operator(r, count)
+        want, diff, tol = nested_where_operator(r, count)
         if case == "repeated":
             assert np.count_nonzero(np.abs(diff) <= tol) > r.p * count
         got = discretize_operator(r, count).matrix
-        assert np.array_equal(got, want)
-        pade, _, _ = _nested_where_operator(r, count, _pade_samples)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        pade, _, _ = nested_where_operator(r, count, _pade_samples)
         assert np.abs(got - pade).max() <= 1e-13 * np.abs(pade).max()
+
+    @pytest.mark.parametrize("case", ["scalar", "seed10", "repeated",
+                                      "bench_shape", "zero_data"])
+    @pytest.mark.parametrize("count", [24, 400])
+    def test_matvec_and_matrix_match_dense_oracle(self, case, count,
+                                                  request):
+        r = _case(case, request)
+        op = discretize_operator(r, count)
+        want = nested_where_operator(r, count)[0]
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((op.size, 3)) + 1j * rng.standard_normal(
+            (op.size, 3))
+        assert _relative(op.matvec(x), want @ x) <= 1e-12
+        assert _relative(op.matvec(x[:, 0]), want @ x[:, 0]) <= 1e-12
+        assert _relative(op.matrix, want) <= 1e-12
+
+    @pytest.mark.parametrize("length", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("count", [100, 400])
+    def test_long_interval_matches_sequential_reference(self, length, count):
+        # The dense build cancels terms of size e^{l ||beta - beta^H|| / 2}
+        # (1e45 of the answer at l = 40); the blocked generators run every
+        # exponential forward in time.  At l = 40, N = 100 a fixed cut of
+        # 48 nodes per block spans far more than 2 / ||beta - beta^H||.
+        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+        r = random_realization(seed, p, n, d, length, scale)
+        op = discretize_operator(r, count)
+        x = np.random.default_rng(6).standard_normal(op.size) + 0j
+        want = sequential_nystrom_matvec(r, count, x)
+        assert _relative(op.matvec(x), want) <= 1e-12
+        assert _relative(op.matrix @ x, want) <= 1e-12
+        growth = 0.5 * np.linalg.norm(r.beta - r.beta.conj().T, 2)
+        z = np.sort(np.kron(r.diag.d, op.nodes))
+        starts = np.concatenate([[0], np.cumsum(op.sizes)])
+        spans = z[starts[1:] - 1] - z[starts[:-1]]
+        assert spans.max() * growth <= 1.0
+        assert op.sizes.max() <= discretization.BLOCK_SIZE
+
+    def test_ties_stay_in_one_block(self):
+        # d = (1, 1): every node has an exact twin, and no cut separates
+        # a pair, so blocks hold an even number of nodes.
+        r = random_realization(6, 2, 4, (1.0, 1.0))
+        op = discretize_operator(r, 100)
+        assert np.all(op.sizes % 2 == 0)
+        want = nested_where_operator(r, 100)[0]
+        assert _relative(op.matrix, want) <= 1e-12
 
     def test_zero_data_is_identity(self, zero_data):
         op = discretize_operator(zero_data, 32)
@@ -269,18 +318,14 @@ class TestPositivity:
         spectrum = np.concatenate([[0.5], np.ones(size - 2), [3.0]])
         herm = (basis * spectrum) @ basis.conj().T
         herm = 0.5 * (herm + herm.conj().T)
-        assert discretization.lanczos_extremes(herm)[0] == pytest.approx(
-            1.0, abs=1e-9)
-        before = herm.copy()
-        assert not discretization._bounded_below(herm, 1.0 - 1e-10)
-        assert np.array_equal(herm, before)
+        op = _DenseOperator(herm)
+        assert discretization.lanczos_extremes(op.matvec, size)[0] \
+            == pytest.approx(1.0, abs=1e-9)
+        assert op.factor(1.0 - 1e-10) is None
         calls = []
         dense = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(a.shape) or dense(a))
-        op = discretization.DiscreteOperator(
-            nodes=np.arange(size) + 0.5, weight=1.0, matrix=herm,
-            components=1)
         low, high = positivity_spectrum(op)
         assert calls == [(size, size)]
         assert low == pytest.approx(0.5, abs=1e-12)
@@ -299,7 +344,8 @@ class TestPositivity:
         dense = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: sizes.append(a.shape[0]) or dense(a))
-        assert discretization.lanczos_extremes(lap) is None
+        assert discretization.lanczos_extremes(lambda v: lap @ v,
+                                               size) is None
         every = discretization.LANCZOS_EVERY_STEP
         assert sizes == [k + 1 for k in range(discretization.LANCZOS_MAX_DIM)
                          if k < every or k % 4 == 3]
@@ -328,39 +374,51 @@ class TestPositivity:
         assert np.array_equal(m, m.conj().T)
 
     def test_hermitian_input_is_not_copied(self):
-        op = discretize_operator(bench_shape_realization(), 200)
-        before = op.matrix.copy()
+        # Lanczos runs on the matvec and the certificate on the block
+        # factor: no dense S_N (23 MB here) is assembled, copied or shifted.
+        # Lanczos's 300-vector basis takes a quarter of that.
+        op = discretize_operator(bench_shape_realization(), 400)
         _, peak = _traced_peak(lambda: positivity_spectrum(op))
-        # One conjugate for the equality test; the skew part and the
-        # symmetrized copy (two more full matrices) are not formed.
-        assert peak <= 1.5 * op.matrix.nbytes
-        # The certificate's in-place shift is undone bit for bit.
-        assert np.array_equal(op.matrix, before)
+        assert peak <= 0.5 * 16 * op.size ** 2
+        assert "matrix" not in vars(op)
 
-    def test_near_hermitian_input_is_symmetrized(self, seed10):
-        # A 1e-12 anti-Hermitian part is below the refusal threshold; the
-        # answer is that of the symmetrized matrix, as before the shortcut.
-        op = discretize_operator(seed10, 64)
-        rng = np.random.default_rng(8)
-        skew = rng.standard_normal(op.matrix.shape) * 1e-12
-        m = op.matrix + 1j * (skew + skew.T)
-        assert not np.array_equal(m, m.conj().T)
+    @pytest.mark.parametrize("name", ["seed10", "bench_shape", "repeated"])
+    @pytest.mark.parametrize("offset", [-1e-8, 1e-8])
+    def test_factor_exists_exactly_where_dense_cholesky_does(
+            self, name, offset, request):
+        op = discretize_operator(_case(name, request), 100)
+        sigma = np.linalg.eigvalsh(op.matrix)[0] + offset
+        try:
+            np.linalg.cholesky(op.matrix - sigma * np.eye(op.size))
+            dense = True
+        except np.linalg.LinAlgError:
+            dense = False
+        assert dense is (offset < 0)
+        assert (op.factor(sigma) is not None) is dense
 
-        def with_matrix(matrix):
-            return discretization.DiscreteOperator(
-                nodes=op.nodes, weight=op.weight, matrix=matrix,
-                components=op.components)
+    @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape",
+                                      "repeated"])
+    def test_solve_matches_dense_solve(self, name, request):
+        op = discretize_operator(_case(name, request), 100)
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal((op.size, 4)) \
+            + 1j * rng.standard_normal((op.size, 4))
+        for sigma in (0.0, 0.25):
+            shifted = op.matrix - sigma * np.eye(op.size)
+            got = op.factor(sigma).solve(rhs)
+            assert _relative(got, np.linalg.solve(shifted, rhs)) <= 1e-12
+            assert _relative(op.factor(sigma).solve(rhs[:, 0]),
+                             np.linalg.solve(shifted, rhs[:, 0])) <= 1e-12
 
-        assert positivity_spectrum(with_matrix(m)) \
-            == positivity_spectrum(with_matrix(0.5 * (m + m.conj().T)))
-
-    def test_rejects_non_hermitian(self):
-        op = discretization.DiscreteOperator(
-            nodes=np.array([0.5]), weight=1.0,
-            matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            components=np.array([0, 0]))
-        with pytest.raises(ValueError):
-            positivity_spectrum(op)
+    def test_long_interval_minimum_is_certified(self, monkeypatch):
+        # Seed 9 at l = 40: the dense build read lambda_min about -5.5e46.
+        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+        op = discretize_operator(random_realization(seed, p, n, d, 40.0,
+                                                    scale), 400)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        low, high = positivity_spectrum(op)
+        assert low == pytest.approx(0.0110, abs=5e-5)
+        assert high == pytest.approx(22.84, abs=0.01)
 
 
 class TestIdentityResidual:
@@ -518,13 +576,16 @@ class TestDiscreteMatrizant:
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
-    def test_exactly_singular_matrix_raises(self, seed10):
-        op = discretize_operator(seed10, 16)
-        singular = discretization.DiscreteOperator(
-            nodes=op.nodes, weight=op.weight,
-            matrix=np.zeros_like(op.matrix), components=op.components)
+    def test_exactly_singular_matrix_raises(self):
+        # theta2 = -2 theta1 on the two-level rank-one problem: S_N = I +
+        # c u u^H with c ||u||^2 about -2.5, indefinite, so the factor the
+        # solve takes does not exist.
+        r = kernels.Realization.build([[1.0, 0.5]], [[-2.0, -1.0]],
+                                      [[-1.0]], [2.0, 1.0], 1.0)
+        op = discretize_operator(r, 16)
+        assert np.linalg.eigvalsh(op.matrix)[0] < -1.0
         with pytest.raises(np.linalg.LinAlgError):
-            discrete_matrizant(seed10, singular, [0.3 + 0.6j])
+            discrete_matrizant(r, op, [0.3 + 0.6j])
 
 
 class TestNodeGram:

@@ -33,11 +33,11 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def _bench_tracing() -> types.ModuleType:
-    """bench/tracing.py, executed from its source text (no bytecode is
+def _bench_module(name: str) -> types.ModuleType:
+    """bench/<name>.py, executed from its source text (no bytecode is
     written next to it)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    module = types.ModuleType("bench_tracing")
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
@@ -47,7 +47,7 @@ def test_bench_traced_names_resolve():
     # The benchmark traces these names with getattr or the class __dict__;
     # renaming one breaks its --trace runs, so it fails here first.
     missing = []
-    for metric, modname, attr in _bench_tracing().TRACED:
+    for metric, modname, attr in _bench_module("tracing").TRACED:
         module = importlib.import_module(modname)
         owner, _, name = attr.rpartition(".")
         if owner:
@@ -67,6 +67,14 @@ def test_bench_route_check_runs():
     gamma = canonical.hamiltonian_factor(r, 0.5, route="quadrature")
     assert gamma.shape == (r.p, 2 * r.p)
     assert np.array_equal(gamma, canonical.hamiltonian_factor(r, 0.5))
+
+
+def test_bench_composition_check_runs():
+    # The invert-table workload's reference check multiplies the dense
+    # t_op.matrix and s_op.matrix at N = 128; S_N assembles its matrix from
+    # the block generators for it.
+    checks = _bench_module("checks")
+    assert checks.composition(bench_shape_realization(), 128) == []
 
 
 def _run_python(*args: str) -> str:
