@@ -62,14 +62,7 @@ BLOCK_SIZE = 48
 class DiscreteOperator:
     """Midpoint-rule matrix I + h*K on component-major node samples."""
 
-    nodes: np.ndarray    # midpoint nodes, shape (N,)
-    weight: float        # uniform quadrature weight h = l / N
     matrix: np.ndarray   # (p*N) x (p*N)
-    components: int      # p
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -81,20 +74,21 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 class SemiseparableOperator:
     """The Nystrom S_N = I + h*K from its block-semiseparable generators.
 
-    With the dilated nodes z sorted and cut into blocks c, block c holds
-    its first node z0_c and last node z1_c, and for b > c the lower block
-    is S_bc = h R_b Phi_{b-1} E_{b-1} ... E_{c+1} Phi_c C_c with
+    With the dilated nodes z sorted and cut into blocks c = 0..B-1, z0_c
+    the first node of block c and z0_B the last node of all, the lower
+    block S_bc for b > c is h R_b E_{b-1} ... E_{c+1} C_c with
 
-        R_c[u] = theta2^H e^{i (z_u - z0_c) beta^H}      (``rows``)
-        C_c[v] = e^{i (z1_c - z_v) beta^H} theta1        (``cols``)
-        E_c    = e^{i (z1_c - z0_c) beta^H}              (``spans``)
-        Phi_c  = e^{i (z0_{c+1} - z1_c) beta^H}          (``steps``);
+        R_c[u] = theta2^H e^{i (z_u - z0_c) beta^H}         (``rows``)
+        C_c[v] = e^{i (z0_{c+1} - z_v) beta^H} theta1       (``cols``)
+        E_c    = e^{i (z0_{c+1} - z0_c) beta^H}             (``steps``),
 
-    every exponent is a nonnegative time, so under the structure identity
-    every factor is a contraction.  The upper blocks are the adjoints.
-    ``diag`` holds the dense diagonal blocks S_cc, and the block arrays are
-    zero-padded to the largest block; ``slots`` maps each component-major
-    index to its padded (block, offset) slot.
+    the generator form of Eidelman and Gohberg.  Every exponent is a
+    nonnegative time, so under the structure identity every factor is a
+    contraction; the last block's column and step only ever meet zero
+    states.  The upper blocks are the adjoints.  ``diag`` holds the dense
+    diagonal blocks S_cc, and the block arrays are zero-padded to the
+    largest block; ``slots`` maps each component-major index to its padded
+    (block, offset) slot.
     """
 
     nodes: np.ndarray    # midpoint nodes, shape (N,)
@@ -105,8 +99,7 @@ class SemiseparableOperator:
     diag: np.ndarray     # (B, width, width) diagonal blocks S_cc
     rows: np.ndarray     # (B, width, n) R_c
     cols: np.ndarray     # (B, n, width) C_c
-    spans: np.ndarray    # (B, n, n) E_c
-    steps: np.ndarray    # (B - 1, n, n) Phi_c
+    steps: np.ndarray    # (B, n, n) E_c
 
     @property
     def size(self) -> int:
@@ -125,23 +118,20 @@ class SemiseparableOperator:
     def matvec(self, x) -> np.ndarray:
         """S_N x for a vector or a (p*N, k) block of vectors.
 
-        One forward pass carries sum_{c<b} Phi_{b-1} E_{b-1} ... Phi_c C_c
-        x_c from block to block for the lower triangle, one backward pass
-        its adjoint for the upper; the diagonal blocks are one batched
-        product.
+        A forward pass s_{c+1} = E_c s_c + C_c x_c carries the lower
+        triangle from block to block, a backward pass
+        t_{c-1} = E_c^H t_c + R_c^H x_c the upper; the diagonal blocks are
+        one batched product.
         """
         x = np.asarray(x)
         xp = self._pad(x.reshape(self.size, -1))
-        lower = self.steps @ (self.cols[:-1] @ xp[:-1])     # Phi_c C_c x_c
-        upper = _adjoint(self.steps) @ (_adjoint(self.rows[1:]) @ xp[1:])
-        fwd = self.steps @ self.spans[:-1]                  # Phi_c E_c
-        bwd = _adjoint(self.spans[1:] @ self.steps)         # (E_c Phi_{c-1})^H
-        s = np.zeros((len(self.sizes),) + lower.shape[1:], dtype=complex)
-        t = np.zeros_like(s)
+        lower, upper = self.cols @ xp, _adjoint(self.rows) @ xp
+        back = _adjoint(self.steps)
+        s, t = np.zeros_like(lower), np.zeros_like(upper)
         for c in range(len(self.sizes) - 1):
-            s[c + 1] = fwd[c] @ s[c] + lower[c]
+            s[c + 1] = self.steps[c] @ s[c] + lower[c]
         for c in range(len(self.sizes) - 1, 0, -1):
-            t[c - 1] = bwd[c - 1] @ t[c] + upper[c - 1]
+            t[c - 1] = back[c] @ t[c] + upper[c]
         y = self.diag @ xp + self.weight * (self.rows @ s
                                             + _adjoint(self.cols) @ t)
         return self._unpad(y, x.shape)
@@ -153,20 +143,20 @@ class SemiseparableOperator:
         Equations Operator Theory 34, 1999): with F = 0 to start, block c
         takes L_cc = chol(S_cc - sigma I - R_c F R_c^H), the generator
         G_c = (h C_c - E_c F R_c^H) L_cc^{-H} of its lower blocks
-        L_bc = R_b Phi_{b-1} ... Phi_c G_c, and passes on
-        F = Phi_c (E_c F E_c^H + G_c G_c^H) Phi_c^H.  The pivots are those
-        of a dense Cholesky factor of the same matrix, so it fails where
-        that one does; by Sylvester's law of inertia success proves that
-        no eigenvalue of S_N lies below sigma.
+        L_bc = R_b E_{b-1} ... E_{c+1} G_c, and passes on
+        F = E_c F E_c^H + G_c G_c^H.  The pivots are those of a dense
+        Cholesky factor of the same matrix, so it fails where that one
+        does; by Sylvester's law of inertia success proves that no
+        eigenvalue of S_N lies below sigma.
         """
         h = self.weight
-        state = np.zeros(self.spans.shape[1:], dtype=complex)
+        state = np.zeros(self.steps.shape[1:], dtype=complex)
         # Padded slots keep an identity diagonal block and a zero generator.
         chols = np.zeros_like(self.diag)
         chols[:, np.arange(chols.shape[1]), np.arange(chols.shape[1])] = 1.0
         gens = np.zeros_like(self.cols)
         for c, m in enumerate(self.sizes):
-            row, span = self.rows[c, :m], self.spans[c]
+            row, step = self.rows[c, :m], self.steps[c]
             fr = state @ row.conj().T
             pivot = self.diag[c, :m, :m] - row @ fr
             pivot[np.diag_indices(m)] -= sigma
@@ -176,13 +166,10 @@ class SemiseparableOperator:
                 return None
             # G_c^H = L_cc^{-1} (h C_c - E_c F R_c^H)^H
             gen = np.linalg.solve(
-                chol, (h * self.cols[c, :, :m] - span @ fr).conj().T)
+                chol, (h * self.cols[c, :, :m] - step @ fr).conj().T)
             gen = gen.conj().T
             chols[c, :m, :m], gens[c, :, :m] = chol, gen
-            if c < len(self.steps):
-                step = self.steps[c]
-                state = step @ (span @ state @ span.conj().T
-                                + gen @ gen.conj().T) @ step.conj().T
+            state = step @ state @ step.conj().T + gen @ gen.conj().T
         return BlockCholesky(self, chols, gens)
 
     @cached_property
@@ -201,7 +188,7 @@ class BlockCholesky:
 
     Padded like ``op``: ``chols`` holds the diagonal blocks L_cc
     (B, width, width), ``gens`` the generators G_c (B, n, width) of the
-    lower blocks L_bc = R_b Phi_{b-1} E_{b-1} ... Phi_c G_c.
+    lower blocks L_bc = R_b E_{b-1} ... E_{c+1} G_c.
     """
 
     op: SemiseparableOperator
@@ -211,29 +198,24 @@ class BlockCholesky:
     def solve(self, rhs) -> np.ndarray:
         """(S_N - sigma I)^{-1} rhs for a vector or a (p*N, k) block.
 
-        Forward substitution with L carries sum_{c<b} Phi_{b-1} ... Phi_c
-        G_c y_c forward, back substitution with L^H carries its adjoint
+        Forward substitution with L carries E_c state + G_c y_c forward,
+        back substitution with L^H carries E_c^H state + R_c^H x_c
         backward: the recurrences of the matvec.
         """
         op = self.op
         rhs = np.asarray(rhs)
         blocks = op._pad(rhs.reshape(op.size, -1))
         inverses = np.linalg.inv(self.chols)
-        state = np.zeros((op.spans.shape[1], blocks.shape[2]), dtype=complex)
+        state = np.zeros((op.steps.shape[1], blocks.shape[2]), dtype=complex)
         for c in range(len(op.sizes)):
             blocks[c] = inverses[c] @ (blocks[c] - op.rows[c] @ state)
-            if c < len(op.steps):
-                state = op.steps[c] @ (op.spans[c] @ state
-                                       + self.gens[c] @ blocks[c])
+            state = op.steps[c] @ state + self.gens[c] @ blocks[c]
         inverses_h, gens_h = _adjoint(inverses), _adjoint(self.gens)
-        rows_h, back = _adjoint(op.rows), _adjoint(op.spans[1:] @ op.steps)
+        rows_h, back = _adjoint(op.rows), _adjoint(op.steps)
         state = np.zeros_like(state)
         for c in range(len(op.sizes) - 1, -1, -1):
             blocks[c] = inverses_h[c] @ (blocks[c] - gens_h[c] @ state)
-            if c > 0:
-                # Phi_{c-1}^H (E_c^H t + R_c^H x_c)
-                state = back[c - 1] @ state \
-                    + op.steps[c - 1].conj().T @ (rows_h[c] @ blocks[c])
+            state = back[c] @ state + rows_h[c] @ blocks[c]
         return op._unpad(blocks, rhs.shape)
 
 
@@ -294,17 +276,16 @@ def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
     sizes = np.diff(starts)
     blocks, width, size = sizes.size, int(sizes.max()), p * count
 
-    # Block and offset of every sorted node; z0, z1 per block.
+    # Block and offset of every sorted node; z0_c per block, z0_B last.
     block_of = np.repeat(np.arange(blocks), sizes)
     offset = np.arange(size) - starts[:-1][block_of]
-    first, last = z[starts[:-1]], z[starts[1:] - 1]
+    first = z[np.append(starts[:-1], size - 1)]
     gen = 1j * r.beta.conj().T
     exps = exp_samples(gen, np.concatenate([
         z - first[block_of],            # rows
-        last[block_of] - z,             # columns off the diagonal
+        first[block_of + 1] - z,        # columns off the diagonal
         first[block_of] - z,            # columns of the diagonal blocks
-        last - first,                   # spans
-        first[1:] - last[:-1],          # steps
+        np.diff(first),                 # steps
     ]))
     row_exp, col_exp, diag_exp = np.split(exps[:3 * size], 3)
 
@@ -331,8 +312,7 @@ def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
     slots[order] = block_of * width + offset
     return SemiseparableOperator(
         nodes=xs, weight=h, components=p, slots=slots, sizes=sizes,
-        diag=diag, rows=rows, cols=cols.swapaxes(1, 2),
-        spans=exps[3 * size:3 * size + blocks], steps=exps[3 * size + blocks:])
+        diag=diag, rows=rows, cols=cols.swapaxes(1, 2), steps=exps[3 * size:])
 
 
 def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
@@ -345,8 +325,7 @@ def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
     matrix = kernel.block_values(xs, xs, line_tol=tol)
     matrix *= h
     matrix[np.diag_indices(r.p * count)] += 1.0
-    return DiscreteOperator(nodes=xs, weight=h, matrix=matrix,
-                            components=r.p)
+    return DiscreteOperator(matrix)
 
 
 def composition_residual(kernel: InverseKernel,

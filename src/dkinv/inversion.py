@@ -234,10 +234,6 @@ class FundamentalSolution(_StateSystem):
         back = exp_samples(self.generator, -np.clip(ys, 0.0, self.interval))
         return back.reshape(prop.shape) @ prop
 
-    def inverse(self, ys) -> np.ndarray:
-        """U(y)^{-1} at the dilated points ``ys``, shaped as :meth:`value`."""
-        return self._invert(self.value(ys))
-
     def corner(self) -> np.ndarray:
         """U(a) at the dilated right end a = d_1*l."""
         return self._corner

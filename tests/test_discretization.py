@@ -138,6 +138,34 @@ class TestDiscretizeOperator:
         assert spans.max() * growth <= 1.0
         assert op.sizes.max() <= discretization.BLOCK_SIZE
 
+    @pytest.mark.parametrize("length", [1.0, 10.0, 40.0])
+    def test_one_transition_per_block(self, length, monkeypatch):
+        # The standard generator form: one exp_samples call holds a row, an
+        # off-diagonal column and a diagonal-block column per node and one
+        # step per block.  Off-diagonal columns and steps run forward in
+        # time, so under the structure identity they are contractions.
+        seed, p, n, d, scale = ACCEPTANCE_CASES[8]
+        r = random_realization(seed, p, n, d, length, scale)
+        calls = []
+
+        def recording(m, s):
+            out = linalg.exp_samples(m, s)
+            calls.append((np.asarray(s), out))
+            return out
+
+        monkeypatch.setattr(discretization, "exp_samples", recording)
+        op = discretize_operator(r, 100)
+        size, blocks = op.size, op.sizes.size
+        assert len(calls) == 1
+        times, exps = calls[0]
+        assert times.shape == (3 * size + blocks,)
+        forward = np.r_[size:2 * size, 3 * size:times.size]
+        assert times[forward].min() >= 0.0
+        assert op.steps.shape == (blocks, n, n)
+        assert np.linalg.norm(op.steps, 2, axis=(1, 2)).max() <= 1 + 1e-12
+        assert np.linalg.norm(exps[forward], 2, axis=(1, 2)).max() \
+            <= 1 + 1e-12
+
     def test_ties_stay_in_one_block(self):
         # d = (1, 1): every node has an exact twin, and no cut separates
         # a pair, so blocks hold an even number of nodes.

@@ -69,7 +69,7 @@ class TestFundamentalSolution:
         r = random_realization(43, 2, 4, [1.5, 1.0])
         f = FundamentalSolution(r)
         for y in (0.0, 0.6, 1.2):
-            prod = f.inverse(y) @ f.value(y)
+            prod = f._invert(f.value(y)) @ f.value(y)
             assert np.abs(prod - np.eye(f.state_dim)).max() <= 1e-9
 
     def test_interval_is_largest_dilation_times_length(self):
@@ -204,7 +204,7 @@ class TestBatchedFactors:
             for a, x in enumerate(xs):
                 y = r.diag.d[i] * x
                 prop = f.propagated(y)
-                back = f.inverse(y) @ linalg.mat_exp(-y * f.generator)
+                back = f._invert(f.value(y)) @ linalg.mat_exp(-y * f.generator)
                 row_scale = np.linalg.norm(f.adj_row[i]) * np.linalg.norm(prop)
                 col_scale = np.linalg.norm(back) * np.linalg.norm(f.stack[:, i])
                 for got in (rows[i * xs.size + a], f.left_row(i, x)):
@@ -223,7 +223,7 @@ class TestBatchedFactors:
                 f.right_cols([bad])
             with pytest.raises(ValueError):
                 f.left_row(0, bad)
-            for name in ("value", "propagated", "inverse"):
+            for name in ("value", "propagated"):
                 with pytest.raises(ValueError):
                     getattr(f, name)([0.5, bad * f.interval])
         assert f.left_rows([]).shape == (0, f.state_dim)
@@ -234,9 +234,9 @@ class TestBatchedValues:
     @pytest.mark.parametrize("shape", ["scalar", "seed10", "bench_shape",
                                        "repeated"])
     def test_batch_matches_each_point(self, shape, request):
-        # value, propagated and inverse on an array of points against the
-        # same method point by point, at y = 0, at every breakpoint, at a
-        # and in between; 20 points take exp_samples' Taylor path, one
+        # value, propagated and U(y)^{-1} on an array of points against
+        # the same method point by point, at y = 0, at every breakpoint, at
+        # a and in between; 20 points take exp_samples' Taylor path, one
         # point the Pade kernel.
         if shape == "bench_shape":
             r = bench_shape_realization()
@@ -247,8 +247,8 @@ class TestBatchedValues:
         f = FundamentalSolution(r)
         ys = np.concatenate([f.lefts, np.linspace(0.0, f.interval, 20)])
         size = f.state_dim
-        for name in ("value", "propagated", "inverse"):
-            method = getattr(f, name)
+        for method in (f.value, f.propagated,
+                       lambda ys: f._invert(f.value(ys))):
             batch = method(ys)
             assert batch.shape == (ys.size, size, size)
             for y, got in zip(ys, batch):
