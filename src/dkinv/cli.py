@@ -344,9 +344,9 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
 
     check("j_unitarity", 1e-9, j_unitarity)
 
-    # Composition T_N S_N = I at the level's grid size (T_N, which refuses a
-    # non-invertible kernel, lives only inside composition_residual), and
-    # positivity of the (Hermitian) S_N.
+    # Composition T_N S_N = I at the level's grid size, both applied
+    # matrix-free (T_N refuses a non-invertible kernel), and positivity of
+    # the (Hermitian) S_N.
     s_op = build(lambda: discretization.discretize_operator(r, count))
     check("composition", comp_tol, lambda: discretization.composition_residual(
         need(kernel), need(s_op)))

@@ -8,12 +8,12 @@ never call into this one.
 
 Discrete objects follow a component-major layout: a block vector sample f
 on nodes x_0..x_{N-1} is flattened as f[i*N + a] = f_i(x_a), so operators
-on L^2-valued p-vectors become (p*N) x (p*N) matrices.  T_N is held dense.
-S_N is held as a block-semiseparable operator
-(:class:`SemiseparableOperator`): over the sorted dilated nodes it is dense
-diagonal blocks plus rank-n generators whose exponentials all run forward
-in time, so it is applied, factored and solved in time linear in p*N
-without ever being formed.
+on L^2-valued p-vectors become (p*N) x (p*N) operators; neither is formed.
+T_N (:class:`DiscreteOperator`) is applied by one prefix sum over the
+sorted dilated nodes.  S_N is block-semiseparable
+(:class:`SemiseparableOperator`): dense diagonal blocks plus rank-n
+generators whose exponentials all run forward in time, so it is applied,
+factored and solved in time linear in p*N.
 
 Like the rest of the package it runs on numpy alone: the positivity
 certificate is a block Cholesky factor of S_N, Lanczos solves its small
@@ -60,9 +60,46 @@ BLOCK_SIZE = 48
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Midpoint-rule matrix I + h*K on component-major node samples."""
+    """The Nystrom T_N = I + h*T of an inverse kernel, applied matrix-free.
 
-    matrix: np.ndarray   # (p*N) x (p*N)
+    Over the dilated nodes z, T(x, t) = -row(x) P col(t) plus row(x) col(t)
+    where z_t <= z_x + tol (on-line points take the upper branch, as in
+    :meth:`InverseKernel.block_values`).  So T v is -rows (P cols v) plus
+    rows times the running sum of col(t) v(t) in the stable order of z, and
+    T^H w runs the same sums in reverse order on the conjugate factors.
+    """
+
+    kernel: InverseKernel
+    nodes: np.ndarray    # midpoint nodes, shape (N,)
+    weight: float        # h
+    tol: float           # ``line_tol`` of block_values
+    rows: np.ndarray     # (p*N, 2n) left_rows
+    cols: np.ndarray     # (2n, p*N) right_cols
+    order: np.ndarray    # (p*N,) stable argsort of z
+    upto: np.ndarray     # (p*N,) sorted index of the last z_t <= z_x + tol
+    downto: np.ndarray   # reversed order: the last z_x >= z_t - tol
+
+    def matvec(self, v, adjoint: bool = False) -> np.ndarray:
+        """T_N v, or T_N^H v if ``adjoint``, for v of shape (p*N[, k])."""
+        rows, cross, cols = self.rows, self.kernel.p_cross, self.cols
+        order, last = self.order, self.upto
+        if adjoint:
+            rows, cross, cols = _adjoint(cols), _adjoint(cross), _adjoint(rows)
+            order, last = order[::-1], self.downto
+        x = np.reshape(v, (order.size, -1))
+        sums = np.cumsum(cols.T[order, :, None] * x[order, None, :], axis=0)
+        y = np.einsum("am,amk->ak", rows, sums[last]) \
+            - rows @ (cross @ (cols @ x))
+        return (x + self.weight * y).reshape(np.shape(v))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense T_N, I + h * block_values: for the references only."""
+        matrix = self.kernel.block_values(self.nodes, self.nodes,
+                                          line_tol=self.tol)
+        matrix *= self.weight
+        matrix[np.diag_indices(self.order.size)] += 1.0
+        return matrix
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -316,32 +353,35 @@ def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
 
 
 def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
-    """Nystrom matrix of I + inverse kernel, on the same midpoint nodes."""
+    """Nystrom T_N of I + inverse kernel, on the same midpoint nodes; a
+    non-invertible kernel raises :class:`SingularOperatorError` first."""
     if count < 8:
         raise ValueError("need at least 8 quadrature nodes")
+    kernel._require_invertible()
     r = kernel.realization
     xs, h = _midpoint_nodes(r.length, count)
     tol = 1e-13 * r.diag.d[0] * max(r.length, 1.0)
-    matrix = kernel.block_values(xs, xs, line_tol=tol)
-    matrix *= h
-    matrix[np.diag_indices(r.p * count)] += 1.0
-    return DiscreteOperator(matrix)
+    z = np.kron(r.diag.d, xs)
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    return DiscreteOperator(
+        kernel, xs, h, tol, kernel.fund.left_rows(xs),
+        kernel.fund.right_cols(xs), order,
+        upto=np.searchsorted(zs, z + tol, side="right") - 1,
+        downto=z.size - 1 - np.searchsorted(zs, z - tol, side="left"))
 
 
 def composition_residual(kernel: InverseKernel,
                          op: SemiseparableOperator) -> float:
     """||T_N S_N - I||_2 for S_N = ``op`` and T_N = I + inverse kernel.
 
-    T_N is built dense on the nodes of ``op`` and lives only for this call;
-    S_N enters through its matvec.  The norm comes from power iteration on
-    v -> T(Sv) - v and its adjoint w -> S(conj(conj(w) T)) - w (S_N is
-    Hermitian), so neither the product nor a conjugate transpose of T_N is
-    formed.
+    Power iteration on v -> T(Sv) - v and its adjoint w -> S(T^H w) - w
+    (S_N is Hermitian): both enter through their matvecs, so no
+    (p*N) x (p*N) array is formed.
     """
-    t_mat = discretize_inverse(kernel, op.nodes.size).matrix
-    return operator_norm(lambda v: t_mat @ op.matvec(v) - v,
-                         lambda w: op.matvec((w.conj() @ t_mat).conj()) - w,
-                         op.size)
+    t_n = discretize_inverse(kernel, op.nodes.size)
+    return operator_norm(lambda v: t_n.matvec(op.matvec(v)) - v,
+                         lambda w: op.matvec(t_n.matvec(w, True)) - w, op.size)
 
 
 def lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray],

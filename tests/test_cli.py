@@ -700,23 +700,18 @@ class TestVerify:
         # Each Nystrom stage runs under tracemalloc, and what it allocates
         # above its starting point stays below half of one (p*N) x (p*N)
         # complex array (23 MB here).  The composition stage counts from
-        # the moment its dense T_N is built, the one such array allowed.
+        # its start: T_N, like S_N, only multiplies vectors.
         size = bench_shape_realization().p * 400
-        grown, base = {}, []
+        grown = {}
 
-        def watched(name, build_only=False):
+        def watched(name):
             original = getattr(discretization, name)
 
             def wrapper(*args, **kwargs):
-                if build_only:
-                    out = original(*args, **kwargs)
-                    tracemalloc.reset_peak()
-                    base[-1] = tracemalloc.get_traced_memory()[0]
-                    return out
                 tracemalloc.reset_peak()
-                base.append(tracemalloc.get_traced_memory()[0])
+                start = tracemalloc.get_traced_memory()[0]
                 out = original(*args, **kwargs)
-                grown[name] = tracemalloc.get_traced_memory()[1] - base.pop()
+                grown[name] = tracemalloc.get_traced_memory()[1] - start
                 return out
 
             monkeypatch.setattr(discretization, name, wrapper)
@@ -724,7 +719,6 @@ class TestVerify:
         for name in ("discretize_operator", "composition_residual",
                      "positivity_spectrum", "discrete_matrizant"):
             watched(name)
-        watched("discretize_inverse", build_only=True)
         tracemalloc.start()
         try:
             assert cli.main(["verify", "--config", bench_cfg, "--level",

@@ -21,6 +21,7 @@ from dkinv.inversion import FundamentalSolution, InverseKernel
 from conftest import (
     ACCEPTANCE_CASES,
     bench_shape_realization,
+    hermitian_realization,
     random_realization,
     scalar_realization,
     singular_scalar_realization,
@@ -227,13 +228,61 @@ class TestDiscretizeInverse:
         assert expm_slices[0] - before <= 100
 
     def test_builds_in_place(self):
-        # The output T_N is 1200 x 1200 complex (23 MB).  Besides it only
+        # The dense T_N is 1200 x 1200 complex (23 MB).  Besides it only
         # the -P branch product is held; the old build also held the
         # np.where result, the float branch-line mask and I + h*block
-        # (82 MB in all).
+        # (82 MB in all).  The operator itself holds no such array, so
+        # the trace covers the on-demand dense build.
         kern = InverseKernel.from_realization(bench_shape_realization())
-        op, peak = _traced_peak(lambda: discretize_inverse(kern, 400))
-        assert peak <= 2.5 * op.matrix.nbytes
+        op = discretize_inverse(kern, 400)
+        dense, peak = _traced_peak(lambda: op.matrix)
+        assert peak <= 2.5 * dense.nbytes
+
+    @pytest.mark.parametrize("count", [24, 100])
+    @pytest.mark.parametrize("name", [f"seed{case[0]}" for case in
+                                      ACCEPTANCE_CASES]
+                             + ["scalar", "hermitian", "zero"])
+    def test_matvecs_match_dense(self, name, count, expm_slices):
+        # The prefix-sum product and its suffix-sum adjoint against the
+        # dense T_N and its conjugate transpose.  Seeds 4, 6 and 7 repeat
+        # a dilation, so d_i x_a = d_j x_a exactly for some i != j: those
+        # pairs lie on the branch line and must take the upper branch.
+        if name.startswith("seed"):
+            seed, p, n, d, scale = ACCEPTANCE_CASES[int(name[4:]) - 1]
+            r = random_realization(seed, p, n, d, 1.0, scale)
+        else:
+            r = {"scalar": scalar_realization, "zero": zero_realization,
+                 "hermitian": hermitian_realization}[name]()
+        kern = InverseKernel.from_realization(r)
+        before = expm_slices[0]
+        op = discretize_inverse(kern, count)
+        # Zero data have the generator 0, whose exponentials exp_samples
+        # hands to the kernel as one (identity) slice per sample.
+        assert expm_slices[0] - before <= (100 if name != "zero" else np.inf)
+        dense = op.matrix
+        rng = np.random.default_rng(count)
+        v = rng.standard_normal((len(dense), 2)) \
+            + 1j * rng.standard_normal((len(dense), 2))
+        assert _relative(op.matvec(v), dense @ v) <= 1e-12
+        assert _relative(op.matvec(v, adjoint=True),
+                         dense.conj().T @ v) <= 1e-12
+        assert _relative(op.matvec(v[:, 0]), dense @ v[:, 0]) <= 1e-12
+
+        d, x, a = r.diag.d, op.nodes[count // 3], count // 3
+        ties = [(i, j) for i in range(r.p) for j in range(r.p)
+                if i != j and d[i] == d[j]]
+        assert bool(ties) == (name in ("seed4", "seed6", "seed7"))
+        unit = np.eye(len(dense))
+        for i, j in ties:
+            xi, tj = i * count + a, j * count + a   # z_xi == z_tj exactly
+            got = op.matvec(unit[tj])[xi]
+            upper = op.weight * kern.entry(i, j, x, x)
+            jump = op.weight * abs(kern.fund.left_row(i, x)
+                                   @ kern.fund.right_col(j, x))
+            # The lower branch would be off by jump.
+            assert jump > 1e-6 and abs(got - upper) <= 1e-12 * jump
+            assert abs(op.matvec(unit[xi], adjoint=True)[tj]
+                       - np.conj(got)) <= 1e-12 * jump
 
     @pytest.mark.parametrize("name", ["scalar", "seed10", "bench_shape"])
     def test_matches_identity_plus_scaled_block(self, name, request):
@@ -282,6 +331,17 @@ class TestComposition:
             assert composition_residual(
                 InverseKernel.from_realization(scalar),
                 discretize_operator(scalar, 200)) <= 1e-14
+
+    def test_refuses_singular_kernel_before_any_work(self, expm_slices):
+        r = singular_scalar_realization()
+        kern = InverseKernel.from_realization(r)
+        s_op = discretize_operator(r, 32)
+        before = expm_slices[0]
+        with pytest.raises(inversion.SingularOperatorError,
+                           match=r"^operator is not invertible \(corner block "
+                                 r"rcond .*\); query the null basis instead$"):
+            composition_residual(kern, s_op)
+        assert expm_slices[0] == before
 
     def test_matrix_case_composes_to_identity(self, seed10):
         kern = InverseKernel.from_realization(seed10)
