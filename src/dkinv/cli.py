@@ -182,22 +182,41 @@ def parse_config(path: str) -> ProblemConfig:
 # Commands
 # ---------------------------------------------------------------------------
 
+_BATCH_CELLS = 1 << 14  # floats formatted per batch of CSV lines
+
+
 def _write_csv(path: str, header: Sequence[str], heads: Sequence[str],
                chunks: Iterable[Tuple[str, np.ndarray]]) -> None:
-    """Write CSV lines one chunk at a time, so only one chunk is ever text.
+    """Write CSV lines a batch of chunks at a time, so only one batch is
+    ever text.
 
     A chunk ``(lead, cells)`` is ``len(heads)`` lines: line k is the text
     ``lead + heads[k]`` followed by row k of the 2-d float array ``cells``
-    in %.17g.  The caller formats the text columns once; each chunk is
-    one template filled by one ``%``, so only the float cells are
-    formatted here, and equal runs produce byte-identical files.
+    in %.17g.  The caller formats the text columns once; consecutive
+    chunks of one shape are formatted together, about _BATCH_CELLS cells
+    at a time, and equal runs produce byte-identical files.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    # Only the CSV commands format floats in bulk.
+    from . import csvtext
+
+    leads: List[str] = []
+    batch: List[np.ndarray] = []
+
+    def flush() -> None:
+        if batch:
+            fh.write(csvtext.format_lines(leads, heads, np.concatenate(batch)))
+            leads.clear()
+            batch.clear()
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lead, cells in chunks:
-            tail = ",%.17g" * cells.shape[1] + "\n"
-            template = lead + (tail + lead).join(heads) + tail
-            fh.write(template % tuple(cells.ravel().tolist()))
+            if batch and (cells.shape != batch[0].shape
+                          or len(batch) * cells.size >= _BATCH_CELLS):
+                flush()
+            leads.append(lead)
+            batch.append(cells)
+        flush()
 
 
 def _require_writable(path: str) -> None:
@@ -512,6 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "recover":
             if args.samples < 1:
                 raise ConfigError("--samples must be positive")
+            _require_writable(args.out)
             return cmd_recover(cfg, args.samples, args.out)
         if args.command == "verify":
             _require_writable(args.report)

@@ -205,9 +205,11 @@ def exp_samples(m, s) -> np.ndarray:
         raise ValueError(
             f"exp_samples: |s| ||m||_1 reaches {reach:.3e}; from 2^53 on no "
             "digit of e^{s m} is determined")
-    # Too few samples to save TAYLOR_DEGREE anchors, or m = 0, whose
-    # exponentials the kernel sets to the identity.
-    if s.size <= TAYLOR_DEGREE or norm == 0.0:
+    if norm == 0.0:
+        # e^{s 0} is the identity exactly; no exponential is taken.
+        return np.repeat(np.eye(len(m), dtype=complex)[None], s.size, axis=0)
+    # Too few samples to save TAYLOR_DEGREE anchors.
+    if s.size <= TAYLOR_DEGREE:
         return _expm(s[:, None, None] * m)
     ticks = np.rint(s * norm)
     first = ticks.min()

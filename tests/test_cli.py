@@ -442,8 +442,25 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err
 
+    def test_recover_checks_its_path_before_the_work(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # At l = 4 recovery meets an interval it reports singular (exit 2);
+        # the unwritable path is the input error, found before any work.
+        r = random_realization(2, 2, 2, (2.0, 1.0), 4.0, 0.6)
+        path = write_config(tmp_path, config_dict(r), "long.json")
+        calls = []
+        original = canonical.recover_hamiltonian
+        monkeypatch.setattr(canonical, "recover_hamiltonian",
+                            lambda *args: calls.append(args) or original(*args))
+        target = tmp_path / "missing" / "out"
+        assert cli.main(["recover", "--config", path, "--samples", "50",
+                         "--out", str(target)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
     @pytest.mark.parametrize("command, flag", [
-        ("invert", "--out"), ("verify", "--report")])
+        ("invert", "--out"), ("recover", "--out"), ("verify", "--report")])
     def test_failed_work_leaves_the_path_as_it_was(self, command, flag,
                                                    scalar_cfg, tmp_path,
                                                    monkeypatch, capsys):

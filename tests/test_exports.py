@@ -128,6 +128,37 @@ def test_no_command_loads_scipy(tmp_path):
         ("verify", 0, [])]
 
 
+_COMMANDS_FORMATTER_LAZY = """
+import json, sys
+def guarded():
+    return [m for m in ("dkinv.csvtext", "fractions", "decimal")
+            if m in sys.modules]
+from dkinv import cli
+runs = [["import dkinv.cli", None, guarded()]]
+config, out, report = sys.argv[1:]
+for argv in (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"],
+             ["verify", "--level", "quick", "--report", report],
+             ["invert", "--grid", "16", "--out", out],
+             ["recover", "--samples", "20", "--out", out]):
+    code = cli.main([argv[0], "--config", config] + argv[1:])
+    runs.append([argv[0], code, guarded()])
+print(json.dumps(runs))
+"""
+
+
+def test_only_the_csv_commands_load_the_formatter(tmp_path):
+    # The CSV formatter is imported by the commands that write CSV, and
+    # never on the way to verify or weyl; it does its arithmetic in numpy,
+    # so no command loads fractions or decimal.
+    config = write_config(tmp_path, config_dict(bench_shape_realization()))
+    stdout = _run_python("-c", _COMMANDS_FORMATTER_LAZY, config,
+                         str(tmp_path / "out.csv"), str(tmp_path / "report.json"))
+    runs = json.loads(stdout.splitlines()[-1])
+    assert [(step, code, loaded) for step, code, loaded in runs] == [
+        ("import dkinv.cli", None, []), ("weyl", 0, []), ("verify", 0, []),
+        ("invert", 0, ["dkinv.csvtext"]), ("recover", 0, ["dkinv.csvtext"])]
+
+
 def _requirement_names(requirements):
     return {re.split(r"[<>=!~ \[;]", req, maxsplit=1)[0] for req in requirements}
 

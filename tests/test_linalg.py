@@ -181,9 +181,13 @@ class TestExpSamples:
         assert np.array_equal(linalg.exp_samples(m, times),
                               _gathered_exp_samples(m, times))
 
-    def test_zero_matrix_gives_identity(self):
+    def test_zero_matrix_gives_identity(self, expm_slices):
+        # Exact identity copies, without a Pade slice.
         got = linalg.exp_samples(np.zeros((3, 3)), np.linspace(-2, 2, 50))
         assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
+        assert got.dtype == complex and expm_slices[0] == 0
+        got[0, 0, 0] = 2.0
+        assert got[1, 0, 0] == 1.0
 
     @pytest.mark.parametrize("times", [[], [0.7], [-0.7], [-1.3, 0.0, 0.4]])
     def test_few_samples_are_their_own_anchors(self, times, expm_slices):
