@@ -267,7 +267,8 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     generator does not depend on x: the constant input and Psi(L), which
     do, multiply its result from the right, and so does
     rot = e^{iL beta^H}, which commutes with every Psi(s).  So one
-    :func:`exp_samples` call per segment serves every length.
+    :func:`exp_samples` call per segment serves every length, and one more
+    gives the factors e^{-(R-L)(A+Y_j)} of all segments.
     """
     r = fund.realization
     n, p, d = r.n, r.p, r.diag.d
@@ -286,6 +287,10 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     rows_upper = rows @ (np.eye(two_n) - proj)
     rows_lower = -(rows @ proj)
     out = np.repeat(const[None], count, axis=0)
+    spans = [np.atleast_1d(seg.right - seg.left) for seg in segments]
+    backs = np.split(exp_samples(
+        np.stack([seg.gen_cross for seg in segments]),
+        [-span for span in spans]), len(segments))
 
     # Block generator [[G, F theta2^H, 0, F], [0, i beta^H, I, 0], 0, 0]
     # with F = [-theta1; theta2] D^{-1} on the contributing columns; without
@@ -294,7 +299,7 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     if profile:
         psi = np.zeros((1, n, n), dtype=complex)   # Psi(L)
         rot = np.eye(n, dtype=complex)             # e^{i L beta^H}
-    for seg, on, end in zip(segments, alive, ends):
+    for seg, on, end, span, back in zip(segments, alive, ends, spans, backs):
         cols = fund.stack[:, on] / d[on]  # dt = dz / d_j
         gen = np.zeros((lead + cols.shape[1],) * 2, dtype=complex)
         gen[:two_n, :two_n] = seg.gen_cross
@@ -307,7 +312,6 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
             gen[two_n:3 * n, 3 * n:lead] = np.eye(n)
             start = np.repeat(start[None], count, axis=0)
             start[:, :, :p] += th2h @ psi @ r.theta1
-        span = np.atleast_1d(seg.right - seg.left)
         block = exp_samples(gen, span)
         # e^{-hG} times the top row gives int_0^h e^{-sG} (...) ds.
         integral = block[:, :two_n, lead:] @ start
@@ -316,7 +320,7 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
             psi = psi + rot @ block[:, two_n:3 * n, 3 * n:lead]
             rot = rot @ block[:, two_n:3 * n, two_n:3 * n]
             out[:, end, :p] += r.theta2[:, end].conj().T @ psi @ r.theta1
-        moved = seg.left_cache @ exp_samples(seg.gen_cross, -span) @ integral
+        moved = seg.left_cache @ back @ integral
         out[:, on] += rows_upper[:, on] @ moved
         out[:, ~on] += rows_lower[:, ~on] @ moved
     return out
@@ -431,8 +435,8 @@ def recover_hamiltonian(
     """Recover gamma and H on a strictly increasing grid of points in (0, l].
 
     Each point stands for the interval [0, x].  All of them go through the
-    profile route as one batch: every matrix exponential is one
-    :func:`exp_samples` call over the points.
+    profile route as one batch: each :func:`exp_samples` call serves all
+    the points, k + 2 of them for k levels.
     """
     r.require_identity()
     xs = np.asarray(xs, dtype=float)

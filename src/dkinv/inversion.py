@@ -103,7 +103,8 @@ class _StateSystem:
 
         A breakpoint of the length-x interval is a level value times x, so
         each exponential of the chain is e^{c x M} for a fixed matrix M and
-        factor c, and one :func:`exp_samples` call serves every length:
+        factor c, and one :func:`exp_samples` call, with one generator per
+        exponential, serves every length and segment:
 
             U(R) = e^{-RA} e^{(R-L)(A+Y_j)} e^{LA} U(L),   U(0) = I.
 
@@ -118,23 +119,34 @@ class _StateSystem:
         # opened by the m-th has level index k+1-m, the innermost P_{k+1} = I.
         k = r.diag.num_levels
         factors = [0.0] + [float(r.diag.levels[m]) for m in range(k - 1, 0, -1)]
+        lefts = [c * xs for c in factors]
+        rights = lefts[1:] + [r.diag.d[0] * xs]
         levels = range(k + 1, 1, -1)
-        eye = np.broadcast_to(np.eye(self.state_dim, dtype=complex),
-                              (xs.size,) + gen.shape)
+        projs = [r.diag.projector(level) for level in levels]
+        crosses = [gen + self.stack @ dinv @ proj @ self.adj_row
+                   for proj in projs]
+        # Per segment e^{LA} (but at L = 0), e^{(R-L)(A+Y_j)} and e^{-RA}.
+        gens, times = [], []
+        for m, (cross, left, right) in enumerate(zip(crosses, lefts, rights)):
+            if m:
+                gens.append(gen)
+                times.append(left)
+            gens += [cross, gen]
+            times += [right - left, -right]
+        exps = iter(np.split(exp_samples(np.stack(gens), times), len(gens)))
+        # U(0) = I: the first segment's caches are the identity.
+        right_cache = left_cache = np.broadcast_to(
+            np.eye(self.state_dim, dtype=complex), (xs.size,) + gen.shape)
         segments: List[_Segment] = []
-        u_left = exp_neg = eye  # U(left) and e^{-left*A}, chained
-        for c_left, c_right, level in zip(factors, factors[1:] + [r.diag.d[0]],
-                                          levels):
-            left, right = c_left * xs, c_right * xs
-            proj = r.diag.projector(level)
-            gen_cross = gen + self.stack @ dinv @ proj @ self.adj_row
-            exp_pos = exp_samples(gen, left) if c_left else eye
-            right_cache = exp_pos @ u_left
-            left_cache = self._invert(u_left) @ exp_neg
-            span = exp_samples(gen_cross, right - left)
+        for m, (left, right, level, gen_cross, proj) in enumerate(
+                zip(lefts, rights, levels, crosses, projs)):
+            if m:  # u_left and exp_neg are U(L) and e^{-LA}, chained
+                right_cache = next(exps) @ u_left
+                left_cache = self._invert(u_left) @ exp_neg
+            span = next(exps)
             segments.append(_Segment(left, right, level, gen_cross,
                                      right_cache, left_cache, span, proj))
-            exp_neg = exp_samples(gen, -right)
+            exp_neg = next(exps)
             u_left = exp_neg @ span @ right_cache
         return segments, u_left
 
@@ -181,6 +193,7 @@ class FundamentalSolution(_StateSystem):
         self.segments = [seg.at(0) for seg in segments]
         self._corner = corners[0]  # U(a)
         self.lefts = np.array([seg.left for seg in self.segments])
+        self.crosses = np.array([seg.gen_cross for seg in self.segments])
         for seg in self.segments:
             for arr in (seg.gen_cross, seg.right_cache, seg.left_cache,
                         seg.exp_span):
@@ -188,13 +201,15 @@ class FundamentalSolution(_StateSystem):
 
     # -- segment lookup ------------------------------------------------------
 
-    def _segments_at(self, ys):
-        """(segment, mask, y - L) for each segment holding some of ``ys``.
+    def _segments_at(self, ys, sign: float = 1.0):
+        """(segment, mask, e^{sign (y-L)(A+Y_j)}) for each segment holding
+        some of ``ys``.
 
         ``ys`` are dilated coordinates in [0, a], up to the relative slack
         _FUZZ, and are clamped into it.  A breakpoint belongs to the segment
         it opens; the last segment also owns a.  Every evaluator below finds
-        its segments here, with one :func:`exp_samples` call per segment.
+        its segments here, and the exponentials of all of them come from
+        one :func:`exp_samples` call.
         """
         ys = np.asarray(ys, dtype=float)
         a = self.interval
@@ -203,9 +218,14 @@ class FundamentalSolution(_StateSystem):
             raise ValueError(f"coordinate {ys[~inside][0]} outside [0, {a}]")
         ys = ys.clip(0.0, a)
         idx = np.maximum(np.searchsorted(self.lefts, ys, side="right") - 1, 0)
-        for k in np.unique(idx):
-            at = idx == k
-            yield self.segments[k], at, ys[at] - self.lefts[k]
+        held = np.unique(idx)
+        masks = [idx == k for k in held]
+        offsets = [ys[at] - self.lefts[k] for k, at in zip(held, masks)]
+        exps = exp_samples(self.crosses[held], [sign * off for off in offsets])
+        stop = 0
+        for k, at, off in zip(held, masks, offsets):
+            start, stop = stop, stop + off.size
+            yield self.segments[k], at, exps[start:stop]
 
     def _dilated(self, comp: np.ndarray, pts) -> np.ndarray:
         """y = d_c x for the pairs (c, x) of ``comp`` and ``pts``, x in [0, l]."""
@@ -219,13 +239,13 @@ class FundamentalSolution(_StateSystem):
     # -- evaluators ----------------------------------------------------------
 
     def propagated(self, ys) -> np.ndarray:
-        """e^{yA} U(y) at the dilated points ``ys``, one exponential call
-        per segment: one matrix for a scalar y, else a stack of shape
+        """e^{yA} U(y) at the dilated points ``ys``, from one exponential
+        call: one matrix for a scalar y, else a stack of shape
         ``np.shape(ys) + (2n, 2n)``."""
         flat = np.reshape(ys, -1)
         out = np.empty((flat.size,) + self.generator.shape, dtype=complex)
-        for seg, at, off in self._segments_at(flat):
-            out[at] = exp_samples(seg.gen_cross, off) @ seg.right_cache
+        for seg, at, exps in self._segments_at(flat):
+            out[at] = exps @ seg.right_cache
         return out.reshape(np.shape(ys) + self.generator.shape)
 
     def value(self, ys) -> np.ndarray:
@@ -241,19 +261,18 @@ class FundamentalSolution(_StateSystem):
     def _rows(self, comp: np.ndarray, pts) -> np.ndarray:
         """Rows adj_row[c] e^{(y-L)(A+Y_j)} right_cache at y = d_c x."""
         out = np.empty((comp.size, self.state_dim), dtype=complex)
-        for seg, at, off in self._segments_at(self._dilated(comp, pts)):
-            out[at] = (self.adj_row[comp[at], None, :]
-                       @ exp_samples(seg.gen_cross, off)
+        for seg, at, exps in self._segments_at(self._dilated(comp, pts)):
+            out[at] = (self.adj_row[comp[at], None, :] @ exps
                        @ seg.right_cache)[:, 0, :]
         return out
 
     def _cols(self, comp: np.ndarray, pts) -> np.ndarray:
         """Columns left_cache e^{-(z-L)(A+Y_j)} stack[:, c] at z = d_c t."""
         out = np.empty((self.state_dim, comp.size), dtype=complex)
-        for seg, at, off in self._segments_at(self._dilated(comp, pts)):
+        for seg, at, exps in self._segments_at(self._dilated(comp, pts),
+                                               -1.0):
             out[:, at] = seg.left_cache \
-                @ (exp_samples(seg.gen_cross, -off)
-                   @ self.stack.T[comp[at], :, None])[:, :, 0].T
+                @ (exps @ self.stack.T[comp[at], :, None])[:, :, 0].T
         return out
 
     def left_row(self, i: int, x: float) -> np.ndarray:
@@ -267,8 +286,8 @@ class FundamentalSolution(_StateSystem):
     def left_rows(self, xs) -> np.ndarray:
         """``left_row(i, x)`` for every component i and x in ``xs``.
 
-        Component-major: row i*len(xs) + a is left_row(i, xs[a]).  Points
-        are grouped by segment, one :func:`exp_samples` call per segment.
+        Component-major: row i*len(xs) + a is left_row(i, xs[a]).  The
+        points of all segments share one :func:`exp_samples` call.
         """
         xs = np.asarray(xs, dtype=float)
         p = self.realization.p

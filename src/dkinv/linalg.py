@@ -1,10 +1,10 @@
 """Dense complex linear-algebra substrate, on numpy alone.
 
 Thin, contract-enforcing wrappers around numpy, a stacked scaling-and-
-squaring Pade matrix exponential and the batched exponential of one
-generator at many times built on it, the two block structure matrices used
-throughout the package, and a power-iteration norm that stands in for dense
-SVD calls on large matrices.  Everything here is a pure function of its
+squaring Pade matrix exponential and, built on it, the batched exponential
+of a stack of generators, each at many times, in one Pade call; the two
+block structure matrices used throughout the package, and a power-iteration
+norm that stands in for dense SVD calls on large matrices.  Everything here is a pure function of its
 inputs and safe to call concurrently.
 """
 
@@ -179,7 +179,10 @@ def mat_exp(m) -> np.ndarray:
 
 
 def exp_samples(m, s) -> np.ndarray:
-    """e^{s_k m} for one square m and many real s_k, shape (len(s), n, n).
+    """e^{s_k m_j} for a (g, n, n) stack of generators m_j, each at its own
+    real times s_j (``s`` a sequence of g arrays), stacked generator by
+    generator: shape (sum_j len(s_j), n, n).  One (n, n) generator with one
+    array of times is the stack of one.
 
     One generator at many times is the setting of Al-Mohy and Higham,
     "Computing the action of the matrix exponential" (SIAM J. Sci. Comput.
@@ -187,52 +190,96 @@ def exp_samples(m, s) -> np.ndarray:
     each s_k, and each sample is e^{cm} times the degree-TAYLOR_DEGREE
     Taylor polynomial of e^{tm} at t = s_k - c, where |t| ||m||_1 <= 1/2.
     Only the anchors go through the Pade exponential; the polynomials of
-    all samples are one matrix product, and each occupied anchor multiplies
-    its own samples in place.  The TAYLOR_DEGREE products that build
-    the polynomial pay off only when they save at least as many Pade
-    evaluations, so with fewer samples than anchors plus TAYLOR_DEGREE
-    every sample is its own anchor.  Raises ValueError when some
-    |s_k| ||m||_1 reaches EXP_NORM_MAX or some e^{s_k m} overflows.
+    all samples of a generator are one matrix product, and each run of
+    samples on one anchor is multiplied by it in place.  The TAYLOR_DEGREE
+    products that build the polynomial pay off only when they save at
+    least as many Pade evaluations, so with fewer samples than anchors plus
+    TAYLOR_DEGREE every sample is its own anchor; a zero generator gives
+    identity copies without any.  The Pade evaluations of all generators
+    are one :func:`_expm` call and their Taylor powers one stacked loop;
+    the rest is done generator by generator, so that each generator's
+    exponentials are the bits it gets alone.  Raises ValueError when some
+    time is not finite, some |s_k| ||m_j||_1 reaches EXP_NORM_MAX or some
+    e^{s_k m_j} overflows.
     """
-    m = _square(m, "exp_samples operand")
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if not np.isfinite(s).all():
+    ms = np.asarray(m, dtype=complex)
+    if ms.ndim == 2:
+        ms, s = ms[None], [s]
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or len(s) != len(ms):
+        raise DimensionError(f"exp_samples: operand shape {ms.shape} is not "
+                             "one square matrix or a stack of them with one "
+                             "array of times each")
+    if not np.isfinite(ms).all():
+        raise ValueError("exp_samples operand contains non-finite entries")
+    times = [np.asarray(t, dtype=float).reshape(-1) for t in s]
+    flat = np.concatenate([np.empty(0), *times])
+    if not np.isfinite(flat).all():
         raise ValueError("exp_samples times contain non-finite entries")
-    norm = np.linalg.norm(m, 1)
+    norms = np.abs(ms).sum(axis=1).max(axis=1, initial=0.0)  # 1-norms
     with np.errstate(over="ignore"):
-        reach = np.abs(s).max(initial=0.0) * norm
-    if not reach < EXP_NORM_MAX:
+        reach = np.array([np.abs(t).max(initial=0.0) for t in times]) * norms
+    if not (reach < EXP_NORM_MAX).all():
         raise ValueError(
-            f"exp_samples: |s| ||m||_1 reaches {reach:.3e}; from 2^53 on no "
-            "digit of e^{s m} is determined")
-    if norm == 0.0:
-        # e^{s 0} is the identity exactly; no exponential is taken.
-        return np.repeat(np.eye(len(m), dtype=complex)[None], s.size, axis=0)
-    # Too few samples to save TAYLOR_DEGREE anchors.
-    if s.size <= TAYLOR_DEGREE:
-        return _expm(s[:, None, None] * m)
-    ticks = np.rint(s * norm)
-    first = ticks.min()
-    count = int(ticks.max() - first) + 1
-    if s.size - count < TAYLOR_DEGREE:
-        return _expm(s[:, None, None] * m)
-    anchors = _expm(((first + np.arange(count)) / norm)[:, None, None] * m)
-    # (m / ||m||_1)^k / k! against (t ||m||_1)^k, |t| ||m||_1 <= 1/2.
-    size, unit = m.shape[0], m / norm
-    powers = np.empty((TAYLOR_DEGREE + 1, size, size), dtype=complex)
-    powers[0] = np.eye(size)
-    for k in range(1, TAYLOR_DEGREE + 1):
-        np.matmul(powers[k - 1], unit / k, out=powers[k])
-    taylor = (np.vander(s * norm - ticks, TAYLOR_DEGREE + 1, increasing=True)
-              @ powers.reshape(TAYLOR_DEGREE + 1, -1)).reshape(-1, size, size)
-    slot = (ticks - first).astype(int)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in np.unique(slot):
-            at = slot == k
-            taylor[at] = anchors[k] @ taylor[at]
-    if not np.isfinite(taylor).all():
+            f"exp_samples: |s| ||m||_1 reaches {reach.max():.3e}; from 2^53 "
+            "on no digit of e^{s m} is determined")
+    # The Pade operands of each nonzero generator: its anchors, with their
+    # ticks kept, when the polynomial path pays off, else its own times.
+    operands, ticks = [], {}
+    for j, (gen, norm, t) in enumerate(zip(ms, norms, times)):
+        if norm == 0.0:
+            continue
+        if t.size > TAYLOR_DEGREE:
+            tick = np.rint(t * norm)
+            first = tick.min()
+            count = int(tick.max() - first) + 1
+            if t.size - count >= TAYLOR_DEGREE:
+                ticks[j] = tick
+                t = (first + np.arange(count)) / norm
+        operands.append(t[:, None, None] * gen)
+    pades = iter(np.split(_expm(np.concatenate(operands)),
+                          np.cumsum([len(a) for a in operands[:-1]]))
+                 if operands else ())
+    taylor = list(ticks)
+    powers = dict(zip(taylor, _taylor_powers(
+        ms[taylor] / norms[taylor, None, None]))) if taylor else {}
+    size = ms.shape[-1]
+    out = np.empty((flat.size, size, size), dtype=complex)
+    stop = 0
+    for j, (norm, t) in enumerate(zip(norms, times)):
+        start, stop = stop, stop + t.size
+        if norm == 0.0:
+            out[start:stop] = np.eye(size)  # e^{s 0} is the identity exactly
+            continue
+        exps = next(pades)
+        if j not in ticks:
+            out[start:stop] = exps
+            continue
+        # (m / ||m||_1)^k / k! against (t ||m||_1)^k, |t| ||m||_1 <= 1/2.
+        samples, tick = out[start:stop], ticks[j]
+        np.matmul(np.vander(t * norm - tick, TAYLOR_DEGREE + 1,
+                            increasing=True),
+                  powers[j].reshape(TAYLOR_DEGREE + 1, -1),
+                  out=samples.reshape(t.size, -1))
+        slot = (tick - tick.min()).astype(int)
+        cuts = [0, *(np.flatnonzero(np.diff(slot)) + 1).tolist(), t.size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(cuts, cuts[1:]):
+                samples[a:b] = exps[slot[a]] @ samples[a:b]
+    if not np.isfinite(out).all():
         raise ValueError("matrix exponential overflows")
-    return taylor
+    return out
+
+
+def _taylor_powers(units: np.ndarray) -> np.ndarray:
+    """u^k / k! for k = 0..TAYLOR_DEGREE and each u of a (g, n, n) stack,
+    shape (g, TAYLOR_DEGREE + 1, n, n), one stacked product per degree."""
+    size = units.shape[-1]
+    powers = np.empty((len(units), TAYLOR_DEGREE + 1, size, size),
+                      dtype=complex)
+    powers[:, 0] = np.eye(size)
+    for k in range(1, TAYLOR_DEGREE + 1):
+        np.matmul(powers[:, k - 1], units / k, out=powers[:, k])
+    return powers
 
 
 def eig_spectrum(m) -> np.ndarray:

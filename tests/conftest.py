@@ -187,6 +187,23 @@ def expm_slices(monkeypatch):
     return count
 
 
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts the calls dkinv.linalg makes to its Pade kernel ``_expm``,
+    one per call whatever the size of its stack; the returned list holds
+    the running total as its only element.  Goes with ``expm_slices``."""
+    from dkinv import linalg
+    pade = linalg._expm
+    count = [0]
+
+    def counting(a):
+        count[0] += 1
+        return pade(a)
+
+    monkeypatch.setattr(linalg, "_expm", counting)
+    return count
+
+
 def bench_shape_realization():
     """Acceptance case 9: p = 3, n = 4, d = (2, 1.5, 1), the benchmark's shape."""
     seed, p, n, d, scale = ACCEPTANCE_CASES[8]

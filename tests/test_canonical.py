@@ -481,23 +481,28 @@ class TestRecoverHamiltonian:
                 <= 1e-12 * (1.0 + np.abs(want).max())
 
     def test_exponentials_do_not_grow_with_samples(self, expm_slices,
-                                                  monkeypatch):
+                                                  expm_calls, monkeypatch):
         # No per-point mat_exp, and a Pade slice count that does not depend
         # on the number of samples (the per-point recovery made about 20
         # mat_exp calls per sample on this shape).  No module but linalg
         # holds mat_exp (test_exports), so refusing it there suffices.
+        # The Pade calls are one for the chain of U, one per Van Loan
+        # block (k = 3 of them) and one for the factors e^{-(R-L)(A+Y_j)};
+        # one call per exponential made 14.
         def refuse(m):
             raise AssertionError("per-point mat_exp in recovery")
 
         monkeypatch.setattr(linalg, "mat_exp", refuse)
         r = bench_shape_realization()
-        counts = []
+        counts, calls = [], []
         for samples in (50, 500):
-            before = expm_slices[0]
+            before, called = expm_slices[0], expm_calls[0]
             recover_hamiltonian(r, np.linspace(r.length / samples, r.length,
                                                samples))
             counts.append(expm_slices[0] - before)
+            calls.append(expm_calls[0] - called)
         assert counts[0] == counts[1] <= 200
+        assert calls[0] == calls[1] <= 5
 
 
 class TestMatrizant:

@@ -126,14 +126,17 @@ def _four_exponential_segments(f):
 
 class TestSegmentCaches:
     @pytest.mark.parametrize("shape", ["bench_shape", "seed10", "scalar"])
-    def test_chain_reuses_exponentials(self, shape, request, expm_slices):
+    def test_chain_reuses_exponentials(self, shape, request, expm_slices,
+                                       expm_calls):
         r = bench_shape_realization() if shape == "bench_shape" \
             else request.getfixturevalue(shape)
         f = FundamentalSolution(r)
         k = len(f.segments)
         # Two per chain step, one e^{L A} per inner breakpoint (12 -> 8 on
-        # the benchmark shape, where k = 3), each one Pade slice.
+        # the benchmark shape, where k = 3), each one Pade slice, and all
+        # of them one Pade call (one per exponential made 8).
         assert expm_slices[0] == 3 * k - 1
+        assert expm_calls[0] == 1
         want, corner = _four_exponential_segments(f)
         for seg, (right_cache, left_cache) in zip(f.segments, want):
             assert np.array_equal(seg.right_cache, right_cache)

@@ -124,7 +124,10 @@ def _exp_samples_cases():
     skewed *= 100.0 / np.linalg.norm(skewed, 1)
     cases = [("random_8x8_norm100", skewed, np.linspace(-0.3, 0.5, 401)),
              ("random_8x8_norm100-away_from_0", skewed,
-              np.linspace(0.2, 0.5, 301))]
+              np.linspace(0.2, 0.5, 301)),
+             # Three passes over one range: each anchor holds three runs.
+             ("random_8x8_norm100-sawtooth", skewed,
+              np.tile(np.linspace(-0.1, 0.2, 101), 3))]
     l4 = random_realization(9, 3, 4, (2, 1.5, 1), 4.0, 0.6)
     for name, r in (("bench_shape", bench_shape_realization()), ("l4", l4)):
         for k, (gen, h) in enumerate(_segment_generators(r)):
@@ -176,10 +179,61 @@ class TestExpSamples:
     @pytest.mark.parametrize("m,times", [
         pytest.param(m, times, id=name) for name, m, times in _exp_samples_cases()])
     def test_anchor_products_match_gathered_stack(self, m, times):
-        # Multiplying each anchor into its own samples in place gives the
-        # same bits as gathering the anchors into a stack first.
+        # Multiplying each run of samples on one anchor by it in place
+        # gives the same bits as gathering the anchors into a stack first.
         assert np.array_equal(linalg.exp_samples(m, times),
                               _gathered_exp_samples(m, times))
+
+    def test_stack_matches_each_generator(self, expm_slices, expm_calls):
+        # One call over a stack gives each generator the bits that a call
+        # of its own gives, in one Pade call with the same slices.  Mixed
+        # in: the direct path with few samples, and with fewer samples than
+        # anchors plus TAYLOR_DEGREE; a zero generator; no samples at all.
+        cases = [(m, times) for _, m, times in _exp_samples_cases()]
+        skewed = cases[0][0]
+        cases[1:1] = [(skewed, np.linspace(-0.3, 0.5, 5)),
+                      (skewed, np.linspace(-0.3, 0.5, 40)),
+                      (np.zeros((8, 8)), np.linspace(-2.0, 2.0, 30)),
+                      (skewed, np.empty(0))]
+        before = expm_slices[0]
+        alone = [linalg.exp_samples(m, times) for m, times in cases]
+        slices, calls = expm_slices[0], expm_calls[0]
+        got = linalg.exp_samples(np.array([m for m, _ in cases]),
+                                 [times for _, times in cases])
+        assert expm_calls[0] - calls == 1
+        assert expm_slices[0] - slices == slices - before
+        assert np.array_equal(got, np.concatenate(alone))
+
+    def test_stack_of_one_is_the_matrix_form(self):
+        m, times = _segment_generators(bench_shape_realization())[0][0], \
+            np.linspace(0.0, 0.4, 60)
+        assert np.array_equal(linalg.exp_samples(m[None], [times]),
+                              linalg.exp_samples(m, times))
+
+    def test_empty_stack(self, expm_calls):
+        got = linalg.exp_samples(np.zeros((0, 3, 3)), [])
+        assert got.shape == (0, 3, 3) and expm_calls[0] == 0
+
+    @pytest.mark.parametrize("m,times", [
+        (np.zeros((2, 3, 3)), [[0.5]]),
+        (np.zeros((2, 3, 4)), [[0.5], [0.5]]),
+        (np.zeros((2, 2, 3, 3)), [[0.5], [0.5]])])
+    def test_stack_shape_mismatch(self, m, times):
+        with pytest.raises(DimensionError):
+            linalg.exp_samples(m, times)
+
+    @pytest.mark.parametrize("times,match", [
+        ([[0.5] * 20, [0.5, np.nan]], "non-finite"),
+        ([[0.5] * 20, [0.5] * 20 + [np.inf]], "non-finite"),
+        ([[0.5] * 20, [1e200]], "no digit"),
+        ([[1e308] * 20, [0.5]], "no digit"),
+        ([[0.5] * 20, [710.0]], "overflows"),
+        ([[0.5] * 20, np.linspace(700.0, 710.0, 41)], "overflows")])
+    def test_one_bad_generator_is_refused(self, times, match):
+        # As a call of that generator alone refuses it.
+        gens = np.array([_ROTATION, np.eye(2)])
+        with pytest.raises(ValueError, match=match):
+            linalg.exp_samples(gens, times)
 
     def test_zero_matrix_gives_identity(self, expm_slices):
         # Exact identity copies, without a Pade slice.
