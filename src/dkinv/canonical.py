@@ -436,7 +436,7 @@ def recover_hamiltonian(
 
     Each point stands for the interval [0, x].  All of them go through the
     profile route as one batch: each :func:`exp_samples` call serves all
-    the points, k + 2 of them for k levels.
+    the points, at most k + 2 of them for k levels.
     """
     r.require_identity()
     xs = np.asarray(xs, dtype=float)

@@ -4,8 +4,8 @@ Thin, contract-enforcing wrappers around numpy, a stacked scaling-and-
 squaring Pade matrix exponential and, built on it, the batched exponential
 of a stack of generators, each at many times, in one Pade call; the two
 block structure matrices used throughout the package, and a power-iteration
-norm that stands in for dense SVD calls on large matrices.  Everything here is a pure function of its
-inputs and safe to call concurrently.
+norm that stands in for dense SVD calls on large matrices.  Everything here
+is a pure function of its inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
