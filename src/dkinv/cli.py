@@ -26,6 +26,7 @@ sub-interval needed for recovery, is not invertible).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -370,7 +371,7 @@ def _verify_checks(cfg: ProblemConfig, level: str) -> Dict[str, dict]:
     check("composition", comp_tol, lambda: discretization.composition_residual(
         need(kernel), need(s_op)))
     check("positivity_min_eig", 0.0,
-          lambda: -discretization.positivity_spectrum(need(s_op))[0])
+          lambda: -discretization.positivity_spectrum(need(s_op)))
 
     # Recovery checks only make sense under the structure identity, and on
     # an interval whose inverse kernel could be built.
@@ -479,6 +480,7 @@ def cmd_weyl(cfg: ProblemConfig, lambdas: Sequence[complex],
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dkinv",

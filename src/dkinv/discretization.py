@@ -15,17 +15,17 @@ sorted dilated nodes.  S_N is block-semiseparable
 generators whose exponentials all run forward in time, so it is applied,
 factored and solved in time linear in p*N.
 
-Like the rest of the package it runs on numpy alone: the positivity
-certificate is a block Cholesky factor of S_N, Lanczos solves its small
+Like the rest of the package it runs on numpy alone: block Cholesky
+factors of S_N certify lambda_min by inertia, Lanczos solves its small
 tridiagonal with ``np.linalg.eigh``, the transfer matrix takes one solve
-with that factor and a vectorized scan for the midpoint resolvents.
+with a factor and a vectorized scan for the midpoint resolvents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,12 +44,12 @@ __all__ = [
     "discrete_matrizant",
     "discretize_inverse",
     "discretize_operator",
-    "lanczos_extremes",
+    "lanczos_minimum",
     "positivity_spectrum",
     "profile_samples",
 ]
 
-# Krylov dimension after which lanczos_extremes gives up.
+# Krylov dimension after which lanczos_minimum stops.
 LANCZOS_MAX_DIM = 300
 # Lanczos tests convergence at every step up to this dimension, then at
 # every 4th: each test is a dense O(k^3) eigh of the k x k tridiagonal.
@@ -186,11 +186,9 @@ class SemiseparableOperator:
         does; by Sylvester's law of inertia success proves that no
         eigenvalue of S_N lies below sigma.
         """
-        h = self.weight
         state = np.zeros(self.steps.shape[1:], dtype=complex)
         # Padded slots keep an identity diagonal block and a zero generator.
-        chols = np.zeros_like(self.diag)
-        chols[:, np.arange(chols.shape[1]), np.arange(chols.shape[1])] = 1.0
+        chols = np.zeros_like(self.diag) + np.eye(self.diag.shape[1])
         gens = np.zeros_like(self.cols)
         for c, m in enumerate(self.sizes):
             row, step = self.rows[c, :m], self.steps[c]
@@ -202,19 +200,48 @@ class SemiseparableOperator:
             except np.linalg.LinAlgError:
                 return None
             # G_c^H = L_cc^{-1} (h C_c - E_c F R_c^H)^H
-            gen = np.linalg.solve(
-                chol, (h * self.cols[c, :, :m] - step @ fr).conj().T)
-            gen = gen.conj().T
+            gen = _adjoint(np.linalg.solve(
+                chol, _adjoint(self.weight * self.cols[c, :, :m] - step @ fr)))
             chols[c, :m, :m], gens[c, :, :m] = chol, gen
             state = step @ state @ step.conj().T + gen @ gen.conj().T
         return BlockCholesky(self, chols, gens)
 
     @cached_property
+    def min_eig(self) -> float:
+        """lambda_min(S_N) of either sign, certified by inertia; computed once.
+
+        Lanczos proposes theta >= lambda_min; :meth:`factor`, which exists
+        exactly when sigma < lambda_min, confirms theta by a factor at
+        theta - delta, delta = 1e-10 max(1, |theta|), or else brackets
+        lambda_min by doubling the gap below theta and bisects to delta,
+        returning the bracket's top.  A non-finite theta, or no factor even
+        below -||S_N||, raises ``LinAlgError``.
+        """
+        theta = lanczos_minimum(self.matvec, self.size)
+        delta = 1e-10 * max(1.0, abs(theta))
+        high, gap, norm = theta, delta, 0.0
+        while not np.isfinite(theta) or self.factor(theta - gap) is None:
+            norm = norm or operator_norm(self.matvec, self.matvec, self.size)
+            if not theta - gap > -2.0 * norm - delta:
+                raise np.linalg.LinAlgError(
+                    f"no Cholesky factor of S_N - sigma I at sigma = "
+                    f"{theta - gap:.6e}; Lanczos gave theta = {theta:.6e}")
+            high, gap = theta - gap, 2.0 * gap
+        # (theta - gap, high] has width gap / 2 after a failure; halving the
+        # width, not subtracting the ends, keeps rounding from adding a factor.
+        width = 0.5 * gap
+        while width > delta:
+            width *= 0.5
+            if self.factor(high - width) is None:
+                high -= width
+        return high
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The dense (p*N) x (p*N) S_N: S_N applied to the identity, with
         its lower triangle mirrored so that the result is exactly
-        Hermitian.  Only the eigvalsh fallback of
-        :func:`positivity_spectrum` and the references need it."""
+        Hermitian.  Only the references and the benchmark's composition
+        check read it."""
         dense = self.matvec(np.eye(self.size, dtype=complex))
         return np.tril(dense) + np.tril(dense, -1).conj().T
 
@@ -256,9 +283,17 @@ class BlockCholesky:
         return op._unpad(blocks, rhs.shape)
 
 
-def _midpoint_nodes(length: float, count: int) -> Tuple[np.ndarray, float]:
-    h = length / count
-    return (np.arange(count) + 0.5) * h, h
+def _dilated_grid(r: Realization, count: int):
+    """The grid S_N and T_N share: midpoint nodes x_a of [0, l], weight h,
+    dilated nodes d_i x_a (component-major), their stable sort order, the
+    sorted nodes, and the tolerance within which two lie on one jump line."""
+    if count < 8:
+        raise ValueError("need at least 8 quadrature nodes")
+    h = r.length / count
+    xs = (np.arange(count) + 0.5) * h
+    z = np.kron(r.diag.d, xs)
+    order = np.argsort(z, kind="stable")
+    return xs, h, z, order, z[order], 1e-13 * r.diag.d[0] * max(r.length, 1.0)
 
 
 def _block_starts(z: np.ndarray, tol: float, reach: float) -> np.ndarray:
@@ -298,20 +333,13 @@ def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
     :class:`SemiseparableOperator`.  All exponentials come from one
     :func:`exp_samples` call.
     """
-    if count < 8:
-        raise ValueError("need at least 8 quadrature nodes")
-    xs, h = _midpoint_nodes(r.length, count)
-    p, d = r.p, r.diag.d
-    coords = np.kron(d, xs)
-    order = np.argsort(coords, kind="stable")
-    z = coords[order]
+    xs, h, _, order, z, tol = _dilated_grid(r, count)
     comp = order // count
-    tol = 1e-13 * d[0] * max(r.length, 1.0)
     growth = 0.5 * np.linalg.norm(r.beta - r.beta.conj().T, 2)
     reach = 1.0 / growth if growth > 0.0 else np.inf
     starts = _block_starts(z, tol, reach)
     sizes = np.diff(starts)
-    blocks, width, size = sizes.size, int(sizes.max()), p * count
+    blocks, width, size = sizes.size, int(sizes.max()), r.p * count
 
     # Block and offset of every sorted node; z0_c per block, z0_B last.
     block_of = np.repeat(np.arange(blocks), sizes)
@@ -348,22 +376,15 @@ def discretize_operator(r: Realization, count: int) -> SemiseparableOperator:
     slots = np.empty(size, dtype=int)
     slots[order] = block_of * width + offset
     return SemiseparableOperator(
-        nodes=xs, weight=h, components=p, slots=slots, sizes=sizes,
+        nodes=xs, weight=h, components=r.p, slots=slots, sizes=sizes,
         diag=diag, rows=rows, cols=cols.swapaxes(1, 2), steps=exps[3 * size:])
 
 
 def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
     """Nystrom T_N of I + inverse kernel, on the same midpoint nodes; a
     non-invertible kernel raises :class:`SingularOperatorError` first."""
-    if count < 8:
-        raise ValueError("need at least 8 quadrature nodes")
+    xs, h, z, order, zs, tol = _dilated_grid(kernel.realization, count)
     kernel._require_invertible()
-    r = kernel.realization
-    xs, h = _midpoint_nodes(r.length, count)
-    tol = 1e-13 * r.diag.d[0] * max(r.length, 1.0)
-    z = np.kron(r.diag.d, xs)
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
     return DiscreteOperator(
         kernel, xs, h, tol, kernel.fund.left_rows(xs),
         kernel.fund.right_cols(xs), order,
@@ -384,27 +405,23 @@ def composition_residual(kernel: InverseKernel,
                          lambda w: op.matvec(t_n.matvec(w, True)) - w, op.size)
 
 
-def lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray],
-                     size: int) -> Optional[Tuple[float, float]]:
-    """Extreme Ritz values (theta_min, theta_max) of a Hermitian operator.
+def lanczos_minimum(matvec: Callable[[np.ndarray], np.ndarray],
+                    size: int) -> float:
+    """Smallest Ritz value theta >= lambda_min of a Hermitian operator.
 
-    ``matvec`` applies the operator to a vector of length ``size``.
-    Lanczos with full reorthogonalization from the start vector of
-    :func:`spectral_norm`, stopping once the residual bound |beta_k y_k| of
-    both extreme Ritz values is at most 1e-12 max(1, |theta|).  Returns None
-    when that does not happen within LANCZOS_MAX_DIM steps.  Ritz values
-    interlace, theta_min >= lambda_min and theta_max <= lambda_max, and a
-    converged one lies within its bound of some eigenvalue; but a Krylov
-    space that misses the extreme eigenvectors converges to inner
-    eigenvalues, so a caller that needs the true minimum must certify it.
-    The test runs at every step up to LANCZOS_EVERY_STEP, then at every 4th
-    step, the last one and on breakdown (beta_k = 0).
+    ``matvec`` applies the operator to a vector of length ``size``.  Lanczos
+    with full reorthogonalization from the start vector of
+    :func:`spectral_norm` stops once the residual bound |beta_k y_k| of
+    theta is at most 1e-12 max(1, |theta|), tested at every step up to
+    LANCZOS_EVERY_STEP, then at every 4th, the last (LANCZOS_MAX_DIM) and on
+    breakdown.  Ritz values interlace, so theta >= lambda_min either way;
+    but a Krylov space that misses the lowest eigenvector converges to an
+    inner eigenvalue, which :attr:`SemiseparableOperator.min_eig` catches.
     """
     steps = min(LANCZOS_MAX_DIM, size)
     basis = np.empty((steps, size), dtype=complex)  # Lanczos vectors as rows
     # The tridiagonal, lower triangle only; row k + 1 takes beta_k.
     tri = np.zeros((steps + 1, steps))
-    ends = [0, -1]
     q = _start_vector(size)
     for k in range(steps):
         basis[k] = q
@@ -418,36 +435,16 @@ def lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray],
         if (k < LANCZOS_EVERY_STEP or k % 4 == 3 or k == steps - 1
                 or beta == 0.0):
             theta, vecs = np.linalg.eigh(tri[:k + 1, :k + 1])
-            bound = beta * np.abs(vecs[-1, ends])
-            if np.all(bound <= 1e-12 * np.maximum(1.0, np.abs(theta[ends]))):
-                return float(theta[0]), float(theta[-1])
+            if beta * abs(vecs[-1, 0]) <= 1e-12 * max(1.0, abs(theta[0])):
+                break
         tri[k + 1, k] = beta
         q = w / beta
-    return None
+    return float(theta[0])
 
 
-def positivity_spectrum(op: SemiseparableOperator) -> Tuple[float, float]:
-    """Extreme eigenvalues of the Hermitian S_N.
-
-    The extremes come from Lanczos on the matvec
-    (:func:`lanczos_extremes`).  The minimum theta is certified by a block
-    Cholesky factor of S_N - (theta - delta) I with
-    delta = 1e-10 max(1, |theta|), so the true minimum lies in
-    [theta - delta, theta]; the maximum is a Ritz value, a lower bound on
-    the true maximum.
-    A dense ``eigvalsh`` of the assembled matrix answers instead when
-    Lanczos does not converge, the certificate fails, or theta <= delta:
-    near a singular or indefinite operator the sign of the minimum is
-    rounding noise.
-    """
-    ritz = lanczos_extremes(op.matvec, op.size)
-    if ritz is not None:
-        low, high = ritz
-        delta = 1e-10 * max(1.0, abs(low))
-        if low > delta and op.factor(low - delta) is not None:
-            return low, high
-    evals = np.linalg.eigvalsh(op.matrix)
-    return float(evals[0]), float(evals[-1])
+def positivity_spectrum(op: SemiseparableOperator) -> float:
+    """Certified lambda_min(S_N): :attr:`SemiseparableOperator.min_eig`."""
+    return op.min_eig
 
 
 def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:
@@ -497,18 +494,18 @@ def discrete_matrizant(r: Realization, op: SemiseparableOperator,
     system's matrizant at the right endpoint as the grid refines.  ``op`` is
     the Nystrom operator S of ``r``.  Pi^H S^{-1} = X^H for S X = Pi (S is
     Hermitian), one solve for all lambdas with the block Cholesky factor of
-    S; an S without one (not positive definite) raises ``LinAlgError``.
+    S, refused (``LinAlgError``) unless ``op.min_eig`` certifies S > 0.
     A = i*D (x) tri is block-diagonal in the component-major layout, and
     :func:`_midpoint_resolvents` applies (I - lambda A)^{-1}.  Returns shape
     (len(lams), 2p, 2p).
     """
     lams = np.asarray(lams, dtype=complex)
-    chol = op.factor(0.0)
-    if chol is None:
+    low = op.min_eig
+    if not low > 1e-10 * max(1.0, abs(low)):
         raise np.linalg.LinAlgError(
-            "S_N is not positive definite: it has no Cholesky factor")
+            f"S_N is not certified positive definite: lambda_min = {low:.6e}")
     pi = profile_samples(r, op.nodes)
-    j_pi_s = exchange_j(r.p) @ chol.solve(pi).conj().T
+    j_pi_s = exchange_j(r.p) @ op.factor(0.0).solve(pi).conj().T
     resolvents = _midpoint_resolvents(pi, r.diag.d, op.weight, lams)
     return np.eye(2 * r.p) \
         + 1j * op.weight * lams[:, None, None] * (j_pi_s @ resolvents)

@@ -133,7 +133,7 @@ def test_criterion_4_worked_scalar_case():
 def test_criterion_5_positivity_and_violation_flagging(suite):
     worst_min = np.inf
     for r in suite:
-        low, _ = positivity_spectrum(discretize_operator(r, 400))
+        low = positivity_spectrum(discretize_operator(r, 400))
         worst_min = min(worst_min, low)
     flagged = False
     try:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -745,6 +747,26 @@ class TestVerify:
                                  "discretize_operator", "positivity_spectrum"]
         assert max(grown.values()) <= 0.5 * 16 * size ** 2, grown
 
+    def test_one_certificate_per_operator(self, bench_cfg, tmp_path,
+                                          monkeypatch):
+        # positivity_min_eig and the matrizant's guard read one lambda_min:
+        # one Lanczos run, the certificate's factor at theta - delta, and
+        # the matrizant's factor at 0.
+        runs, shifts = [], []
+        lanczos = discretization.lanczos_minimum
+        factor = discretization.SemiseparableOperator.factor
+        monkeypatch.setattr(discretization, "lanczos_minimum",
+                            lambda *args: runs.append(1) or lanczos(*args))
+        monkeypatch.setattr(discretization.SemiseparableOperator, "factor",
+                            lambda op, sigma: shifts.append(sigma)
+                            or factor(op, sigma))
+        report = tmp_path / "r.json"
+        assert cli.main(["verify", "--config", bench_cfg, "--level", "full",
+                         "--report", str(report)]) == 0
+        low = -json.loads(report.read_text())["positivity_min_eig"]["value"]
+        assert runs == [1]
+        assert shifts == [low - 1e-10 * max(1.0, abs(low)), 0.0]
+
     def test_unknown_level_is_usage_error(self, scalar_cfg, tmp_path):
         # argparse rejects the choice; the tool maps usage errors to 1.
         assert cli.main(["verify", "--config", scalar_cfg, "--level", "bogus",
@@ -849,6 +871,65 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "invert" in capsys.readouterr().out
+
+
+# Runs cli.main on each argv of the JSON list argv[1] in this process and
+# prints [exit code, stdout, stderr] of each as JSON, after the number of
+# parsers built by the import.
+_MAIN_IN_TURN = """
+import contextlib, io, json, sys
+from dkinv import cli
+print(cli._build_parser.cache_info().currsize)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+print(cli._build_parser.cache_info().currsize)
+"""
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, scalar_cfg, tmp_path):
+        # The parser is built on the first call, not at import, and reused;
+        # commands, a usage error and --help run in turn in one process give
+        # the exit codes, the printed bytes and the files of a fresh process
+        # each.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(argvs):
+            done = subprocess.run(
+                [sys.executable, "-c", _MAIN_IN_TURN, json.dumps(argvs)],
+                capture_output=True, text=True, check=True, env=env)
+            before, runs, after = done.stdout.splitlines()
+            assert (before, after) == ("0", "1")
+            return json.loads(runs)
+
+        def commands(out):
+            out.mkdir()
+            return [["invert", "--config", scalar_cfg, "--grid", "8",
+                     "--out", str(out / "kernel.csv")],
+                    ["invert", "--config", scalar_cfg, "--grid", "x",
+                     "--out", str(out / "kernel.csv")],
+                    ["--help"],
+                    ["recover", "--config", scalar_cfg, "--samples", "5",
+                     "--out", str(out / "ham.csv")],
+                    ["verify", "--config", scalar_cfg, "--level", "quick",
+                     "--report", str(out / "report.json")]]
+
+        in_turn = run(commands(tmp_path / "one"))
+        fresh = [run([argv])[0] for argv in commands(tmp_path / "fresh")]
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [0, 1, 0, 0, 0]
+        assert "invalid int value" in in_turn[1][2]
+        assert "invert" in in_turn[2][1]
+        for name in ("kernel.csv", "ham.csv", "report.json"):
+            assert (tmp_path / "one" / name).read_bytes() \
+                == (tmp_path / "fresh" / name).read_bytes()
 
 
 class TestEquivalenceUnderResort:

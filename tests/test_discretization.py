@@ -67,22 +67,48 @@ def _relative(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-class _DenseOperator:
-    """A Hermitian matrix behind the interface positivity_spectrum reads."""
+def _coupled_blocks(diag, rows, cols):
+    """A SemiseparableOperator from Hermitian diagonal blocks (B, w, w) and
+    rank-n couplings: with weight 1 and zero steps, only neighbouring
+    blocks meet, S_{c+1, c} = rows[c + 1] @ cols[c] and its adjoint."""
+    blocks, width = diag.shape[:2]
+    size, state = blocks * width, rows.shape[2]
+    return discretization.SemiseparableOperator(
+        nodes=np.arange(size, dtype=float), weight=1.0, components=1,
+        slots=np.arange(size), sizes=np.full(blocks, width),
+        diag=diag.astype(complex), rows=rows.astype(complex),
+        cols=cols.astype(complex),
+        steps=np.zeros((blocks, state, state), dtype=complex))
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.size = matrix.shape[0]
 
-    def matvec(self, x):
-        return self.matrix @ x
+def _dense_operator(matrix):
+    """A Hermitian matrix as a SemiseparableOperator of one block."""
+    size = matrix.shape[0]
+    return _coupled_blocks(matrix[None], np.zeros((1, size, 1)),
+                           np.zeros((1, 1, size)))
 
-    def factor(self, sigma):
-        try:
-            np.linalg.cholesky(self.matrix - sigma * np.eye(self.size))
-        except np.linalg.LinAlgError:
-            return None
-        return self
+
+def _laplacian(size, width=48):
+    """The second-difference operator tridiag(-1, 2, -1) on ``size`` points
+    in blocks of ``width``, coupled through the blocks' end points; its
+    dense matrix for reference."""
+    lap = (2.0 * np.eye(size) - np.eye(size, k=1)
+           - np.eye(size, k=-1)).astype(complex)
+    blocks = size // width
+    rows, cols = np.zeros((blocks, width, 1)), np.zeros((blocks, 1, width))
+    rows[:, 0, 0], cols[:, 0, -1] = -1.0, 1.0
+    diag = np.broadcast_to(lap[:width, :width], (blocks, width, width))
+    return _coupled_blocks(diag, rows, cols), lap
+
+
+def _count_factors(monkeypatch):
+    """Record every SemiseparableOperator.factor shift from now on."""
+    shifts = []
+    factor = discretization.SemiseparableOperator.factor
+    monkeypatch.setattr(discretization.SemiseparableOperator, "factor",
+                        lambda op, sigma: shifts.append(sigma)
+                        or factor(op, sigma))
+    return shifts
 
 
 class TestDiscretizeOperator:
@@ -289,7 +315,8 @@ class TestDiscretizeInverse:
         r = _named_case(name, request)
         kern = InverseKernel.from_realization(r)
         count = 24
-        xs, h = discretization._midpoint_nodes(r.length, count)
+        h = r.length / count
+        xs = (np.arange(count) + 0.5) * h
         tol = 1e-13 * r.diag.d[0] * max(r.length, 1.0)
         want = np.eye(r.p * count) + h * kern.block_values(xs, xs,
                                                            line_tol=tol)
@@ -358,23 +385,20 @@ class TestComposition:
 
 class TestPositivity:
     def test_identity_operator(self, zero_data):
-        low, high = positivity_spectrum(discretize_operator(zero_data, 16))
+        low = positivity_spectrum(discretize_operator(zero_data, 16))
         assert low == pytest.approx(1.0, abs=1e-12)
-        assert high == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_extremes(self, scalar):
-        low, high = positivity_spectrum(discretize_operator(scalar, 200))
+        low = positivity_spectrum(discretize_operator(scalar, 200))
         assert low == pytest.approx(1.0, rel=0.02)
-        assert high == pytest.approx(2.0, rel=0.02)
 
     def test_valid_realization_is_positive(self, seed10):
-        low, _ = positivity_spectrum(discretize_operator(seed10, 200))
-        assert low > 0.0
+        assert positivity_spectrum(discretize_operator(seed10, 200)) > 0.0
 
     def test_singular_scaling_loses_positivity(self):
         # The c = -1 rescaled scalar problem annihilates exp(-i x), so the
         # discretized operator's smallest eigenvalue collapses to zero.
-        low, _ = positivity_spectrum(
+        low = positivity_spectrum(
             discretize_operator(singular_scalar_realization(), 200))
         assert abs(low) <= 1e-10
 
@@ -382,12 +406,15 @@ class TestPositivity:
                              ["scalar", "seed10", "zero_data", "bench_shape"])
     def test_lanczos_matches_eigvalsh(self, name, request, monkeypatch):
         op = discretize_operator(_named_case(name, request), 200)
-        evals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
-        # The certified Lanczos path answers without a dense spectrum.
+        want = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))[0]
+        # The common path: one Lanczos run and one factor, at theta - delta.
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        shifts = _count_factors(monkeypatch)
         got = positivity_spectrum(op)
-        for value, want in zip(got, (evals[0], evals[-1])):
-            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert shifts == [got - 1e-10 * max(1.0, abs(got))]
+        # The value is kept on the operator: a second read costs nothing.
+        assert positivity_spectrum(op) == got and len(shifts) == 1
 
     def test_certificate_catches_eigenvector_missed_by_lanczos(
             self, monkeypatch):
@@ -406,50 +433,83 @@ class TestPositivity:
         spectrum = np.concatenate([[0.5], np.ones(size - 2), [3.0]])
         herm = (basis * spectrum) @ basis.conj().T
         herm = 0.5 * (herm + herm.conj().T)
-        op = _DenseOperator(herm)
-        assert discretization.lanczos_extremes(op.matvec, size)[0] \
+        op = _dense_operator(herm)
+        assert discretization.lanczos_minimum(op.matvec, size) \
             == pytest.approx(1.0, abs=1e-9)
         assert op.factor(1.0 - 1e-10) is None
-        calls = []
-        dense = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: calls.append(a.shape) or dense(a))
-        low, high = positivity_spectrum(op)
-        assert calls == [(size, size)]
-        assert low == pytest.approx(0.5, abs=1e-12)
-        assert high == pytest.approx(3.0, abs=1e-12)
+        # Inertia finds 0.5 without a dense spectrum: 34 factors double the
+        # gap below 1.0 from delta = 1e-10 past 0.5, and 32 halve the
+        # bracket back to delta.
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        shifts = _count_factors(monkeypatch)
+        low = positivity_spectrum(op)
+        assert 0.5 - 1e-14 <= low <= 0.5 + 1e-10
+        assert len(shifts) == 66
 
     def test_lanczos_gives_up_at_its_cap(self, monkeypatch):
         # The 1200-point second-difference operator has its two lowest
         # eigenvalues at 6.8e-6 and 2.7e-5, at the bottom of (0, 4): 300
-        # steps do not resolve the minimum to 1e-12.  Past step 32 the
+        # steps do not resolve the minimum to 1e-12, and the last Ritz
+        # value, still an upper bound, is returned.  Past step 32 the
         # tridiagonal is solved at every 4th step and the last, not at
         # every step.
         size = 1200
-        lap = (2.0 * np.eye(size) - np.eye(size, k=1)
-               - np.eye(size, k=-1)).astype(complex)
+        _, lap = _laplacian(size)
         sizes = []
         dense = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: sizes.append(a.shape[0]) or dense(a))
-        assert discretization.lanczos_extremes(lambda v: lap @ v,
-                                               size) is None
+        theta = discretization.lanczos_minimum(lambda v: lap @ v, size)
+        assert theta == pytest.approx(8.996e-6, rel=1e-3)
         every = discretization.LANCZOS_EVERY_STEP
         assert sizes == [k + 1 for k in range(discretization.LANCZOS_MAX_DIM)
                          if k < every or k % 4 == 3]
 
+    def test_minimum_past_lanczos_cap_is_certified(self, monkeypatch):
+        # The same Laplacian, blocked: Lanczos stops at its cap 2.2e-6
+        # above the minimum, and doubling and bisection on factors bring
+        # the answer to within delta = 1e-10 above it.
+        op, lap = _laplacian(1200)
+        x = np.linspace(-1.0, 1.0, op.size) + 0.5j
+        assert np.allclose(op.matvec(x), lap @ x, rtol=0, atol=1e-15)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        low = positivity_spectrum(op)
+        want = 4.0 * np.sin(np.pi / (2 * (op.size + 1))) ** 2
+        assert want == pytest.approx(6.8424792e-6, abs=1e-13)
+        assert 0.0 <= low - want <= 1e-10
+
     @pytest.mark.parametrize("case", ["unconverged", "singular"])
-    def test_fallbacks_return_dense_values(self, case, seed10, monkeypatch):
-        # Lanczos stopped by its step cap, and a minimum below the
-        # certificate's margin (the singular scalar scaling): both answer
-        # with eigvalsh itself, bit for bit.
+    def test_no_dense_fallback(self, case, seed10, monkeypatch):
+        # Lanczos stopped by its step cap, and a minimum within the
+        # certificate's margin of zero (the singular scalar scaling): both
+        # are decided by factors to within delta, with no dense spectrum.
         if case == "unconverged":
             monkeypatch.setattr(discretization, "LANCZOS_MAX_DIM", 2)
             op = discretize_operator(seed10, 100)
         else:
             op = discretize_operator(singular_scalar_realization(), 200)
-        evals = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))
-        assert positivity_spectrum(op) == (evals[0], evals[-1])
+        want = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))[0]
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+        assert abs(positivity_spectrum(op) - want) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "no_factor"])
+    def test_breakdown_raises_instead_of_looping(self, case, seed10,
+                                                 monkeypatch):
+        # A non-finite Ritz value, or a factor that never exists, cannot be
+        # certified: the search below theta stops at -||S_N|| and raises.
+        op = discretize_operator(seed10, 32)
+        if case == "no_factor":
+            shifts = []
+            monkeypatch.setattr(discretization.SemiseparableOperator,
+                                "factor", lambda op, sigma: shifts.append(
+                                    sigma) and None)
+        else:
+            monkeypatch.setattr(discretization, "lanczos_minimum",
+                                lambda matvec, size: float(case))
+        with pytest.raises(np.linalg.LinAlgError):
+            positivity_spectrum(op)
+        if case == "no_factor":
+            assert 30 <= len(shifts) <= 40
 
     @pytest.mark.parametrize("name", ["scalar", "seed10", "zero_data",
                                       "bench_shape", "repeated"])
@@ -504,9 +564,7 @@ class TestPositivity:
         op = discretize_operator(random_realization(seed, p, n, d, 40.0,
                                                     scale), 400)
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
-        low, high = positivity_spectrum(op)
-        assert low == pytest.approx(0.0110, abs=5e-5)
-        assert high == pytest.approx(22.84, abs=0.01)
+        assert positivity_spectrum(op) == pytest.approx(0.0110, abs=5e-5)
 
 
 class TestIdentityResidual:
@@ -655,7 +713,8 @@ class TestDiscreteMatrizant:
         seed, p, n, d, scale = ACCEPTANCE_CASES[8]
         r = random_realization(seed, p, n, d, length, scale)
         count = 400
-        xs, h = discretization._midpoint_nodes(length, count)
+        h = length / count
+        xs = (np.arange(count) + 0.5) * h
         pi = profile_samples(r, xs)
         lams = np.array(_SCAN_LAMBDAS, dtype=complex)
         got = discretization._midpoint_resolvents(pi, r.diag.d, h, lams)
@@ -664,10 +723,21 @@ class TestDiscreteMatrizant:
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
+    def test_uncertified_operator_is_refused(self):
+        # The singular scalar scaling at N = 400: lambda_min(S_N) is zero up
+        # to rounding and a factor at 0 exists, yet W_N built on it reached
+        # entries of 4.3e15.  The certificate's margin refuses it.
+        r = singular_scalar_realization()
+        op = discretize_operator(r, 400)
+        assert abs(op.min_eig) <= 1e-10
+        assert op.factor(0.0) is not None
+        with pytest.raises(np.linalg.LinAlgError, match="not certified"):
+            discrete_matrizant(r, op, [1j])
+
     def test_exactly_singular_matrix_raises(self):
         # theta2 = -2 theta1 on the two-level rank-one problem: S_N = I +
-        # c u u^H with c ||u||^2 about -2.5, indefinite, so the factor the
-        # solve takes does not exist.
+        # c u u^H with c ||u||^2 about -2.5, indefinite, so the certified
+        # lambda_min is negative and no solve is tried.
         r = kernels.Realization.build([[1.0, 0.5]], [[-2.0, -1.0]],
                                       [[-1.0]], [2.0, 1.0], 1.0)
         op = discretize_operator(r, 16)

@@ -208,3 +208,11 @@ def test_only_fundamental_solution_walks_segments(name):
     source = inspect.getsource(importlib.import_module(name))
     source = source.replace(inspect.getsource(FundamentalSolution), "")
     assert re.findall(r"\b_segments_at\b", source) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_dense_spectrum(name):
+    # lambda_min(S_N) is certified by inertia on block Cholesky factors:
+    # no module takes, or names, a dense eigvalsh.
+    source = inspect.getsource(importlib.import_module(name))
+    assert re.findall(r"\beigvalsh\b", source) == []
