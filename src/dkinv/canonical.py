@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .inversion import (InverseKernel, SingularCornerReport, _StateSystem,
-                        branch_projectors)
+                        branch_projectors, j_inverse)
 from .kernels import DiagonalStructure, Realization
 from .linalg import (as_matrix, eig_spectrum, exchange_j, exp_samples, frob,
                      solve)
@@ -267,8 +267,8 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     generator does not depend on x: the constant input and Psi(L), which
     do, multiply its result from the right, and so does
     rot = e^{iL beta^H}, which commutes with every Psi(s).  So one
-    :func:`exp_samples` call per segment serves every length, and one more
-    gives the factors e^{-(R-L)(A+Y_j)} of all segments.
+    :func:`exp_samples` call per segment serves every length, and the
+    inverse of e^{RA} U(R) that takes it back to z = 0 is its J-adjoint.
     """
     r = fund.realization
     n, p, d = r.n, r.p, r.diag.d
@@ -281,16 +281,13 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     alive = [np.diagonal(seg.projector).real > 0 for seg in segments]
     ends = [a & ~b for a, b in zip(alive, alive[1:] + [np.zeros(p, bool)])]
     count = np.size(segments[0].left)
+    props = [seg.exp_span @ seg.right_cache for seg in segments]  # e^{RA} U(R)
     rows = np.empty((count, p, two_n), dtype=complex)
-    for seg, end in zip(segments, ends):
-        rows[:, end] = fund.adj_row[end] @ seg.exp_span @ seg.right_cache
+    for prop, end in zip(props, ends):
+        rows[:, end] = fund.adj_row[end] @ prop
     rows_upper = rows @ (np.eye(two_n) - proj)
     rows_lower = -(rows @ proj)
     out = np.repeat(const[None], count, axis=0)
-    spans = [np.atleast_1d(seg.right - seg.left) for seg in segments]
-    backs = np.split(exp_samples(
-        np.stack([seg.gen_cross for seg in segments]),
-        [-span for span in spans]), len(segments))
 
     # Block generator [[G, F theta2^H, 0, F], [0, i beta^H, I, 0], 0, 0]
     # with F = [-theta1; theta2] D^{-1} on the contributing columns; without
@@ -299,7 +296,7 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
     if profile:
         psi = np.zeros((1, n, n), dtype=complex)   # Psi(L)
         rot = np.eye(n, dtype=complex)             # e^{i L beta^H}
-    for seg, on, end, span, back in zip(segments, alive, ends, spans, backs):
+    for seg, on, end, prop in zip(segments, alive, ends, props):
         cols = fund.stack[:, on] / d[on]  # dt = dz / d_j
         gen = np.zeros((lead + cols.shape[1],) * 2, dtype=complex)
         gen[:two_n, :two_n] = seg.gen_cross
@@ -312,7 +309,7 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
             gen[two_n:3 * n, 3 * n:lead] = np.eye(n)
             start = np.repeat(start[None], count, axis=0)
             start[:, :, :p] += th2h @ psi @ r.theta1
-        block = exp_samples(gen, span)
+        block = exp_samples(gen, np.atleast_1d(seg.right - seg.left))
         # e^{-hG} times the top row gives int_0^h e^{-sG} (...) ds.
         integral = block[:, :two_n, lead:] @ start
         if profile:
@@ -320,7 +317,7 @@ def _factor_integrals(fund: _StateSystem, segments: Sequence,
             psi = psi + rot @ block[:, two_n:3 * n, 3 * n:lead]
             rot = rot @ block[:, two_n:3 * n, two_n:3 * n]
             out[:, end, :p] += r.theta2[:, end].conj().T @ psi @ r.theta1
-        moved = seg.left_cache @ back @ integral
+        moved = j_inverse(prop) @ integral  # (e^{LA} U(L))^{-1} e^{-hG}
         out[:, on] += rows_upper[:, on] @ moved
         out[:, ~on] += rows_lower[:, ~on] @ moved
     return out
@@ -336,8 +333,8 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
                (P U(d_1 x)^{-1} - U(d_s x)^{-1} + I - P) [I_n; 0])
         (beta^H)^{-1} theta1
 
-    with U and the branch projector P those of ``kernel``, built for the
-    interval length x.  Requires an invertible state matrix.
+    with U (U^{-1} = J^H U^H J) and the branch projector P of ``kernel``,
+    built for the interval length x.  Requires an invertible state matrix.
     """
     kernel._require_invertible()
     r = kernel.realization
@@ -353,7 +350,7 @@ def recovery_correction(kernel: InverseKernel) -> np.ndarray:
     ys = d * x
     props = fund.propagated(ys)  # e^{yA} U(y)
     back = exp_samples(fund.generator, -ys)  # e^{-yA}
-    u_inv = fund._invert(back @ props)  # U(y)^{-1}; ys[0] = d_1 x
+    u_inv = j_inverse(back @ props)  # U(y)^{-1}; ys[0] = d_1 x
     middle = proj @ u_inv[0] - u_inv + np.eye(2 * n) - proj
     bracket = fund.adj_row[:, None, :] @ props @ middle @ embed
     # e^{i y beta^H} = (e^{-i y beta})^H, from the lower block of e^{-yA}.

@@ -184,8 +184,10 @@ class SemiseparableOperator:
         F = E_c F E_c^H + G_c G_c^H.  The pivots are those of a dense
         Cholesky factor of the same matrix, so it fails where that one
         does; by Sylvester's law of inertia success proves that no
-        eigenvalue of S_N lies below sigma.
+        eigenvalue of S_N lies below sigma.  A non-finite sigma raises.
         """
+        if not np.isfinite(sigma):
+            raise ValueError(f"shift sigma = {sigma} is not finite")
         state = np.zeros(self.steps.shape[1:], dtype=complex)
         # Padded slots keep an identity diagonal block and a zero generator.
         chols = np.zeros_like(self.diag) + np.eye(self.diag.shape[1])
@@ -385,9 +387,9 @@ def discretize_inverse(kernel: InverseKernel, count: int) -> DiscreteOperator:
     non-invertible kernel raises :class:`SingularOperatorError` first."""
     xs, h, z, order, zs, tol = _dilated_grid(kernel.realization, count)
     kernel._require_invertible()
+    rows = kernel.fund.left_rows(xs)
     return DiscreteOperator(
-        kernel, xs, h, tol, kernel.fund.left_rows(xs),
-        kernel.fund.right_cols(xs), order,
+        kernel, xs, h, tol, rows, kernel.fund.columns(rows), order,
         upto=np.searchsorted(zs, z + tol, side="right") - 1,
         downto=z.size - 1 - np.searchsorted(zs, z - tol, side="left"))
 

@@ -10,7 +10,7 @@ inverse is assembled from the fundamental solution U of a piecewise-constant
 * the branch projector ``P`` built from the corner value U(d_1*l), whose
   lower-right block decides invertibility,
 * explicit inverse-kernel entries combining a left row vector, the branch
-  projector (or its complement), and a right column vector.
+  projector (or its complement), and the column vector -J^H row^H.
 
 The corner block being singular is a meaningful outcome, not a failure: it
 comes back as a :class:`SingularCornerReport` and the associated null
@@ -66,15 +66,39 @@ class _Segment:
     level: int              # level index j in 2..k+1 selecting P_j
     gen_cross: np.ndarray   # A + Y_j
     right_cache: np.ndarray    # e^{left*A} U(left)
-    left_cache: np.ndarray     # U(left)^{-1} e^{-left*A}
     exp_span: np.ndarray       # e^{(right-left)(A+Y_j)}
     projector: np.ndarray      # P_j (p x p)
 
     def at(self, k: int) -> "_Segment":
         """The segment of the k-th interval length of a chain."""
         return _Segment(float(self.left[k]), float(self.right[k]), self.level,
-                        self.gen_cross, self.right_cache[k], self.left_cache[k],
-                        self.exp_span[k], self.projector)
+                        self.gen_cross, self.right_cache[k], self.exp_span[k],
+                        self.projector)
+
+
+def j_inverse(u: np.ndarray) -> np.ndarray:
+    """U^{-1} = J^H U^H J of a J-unitary U, or of each of a stack of them."""
+    j = symplectic_j(u.shape[-1] // 2)
+    return j.conj().T @ u.conj().swapaxes(-1, -2) @ j
+
+
+def _require_j_unitary(us: np.ndarray, points, bound: float = 1e-6) -> None:
+    """Refuse a U of ``us`` (at ``points``) that is not finite or has
+    ||U J^H U^H J - I||_F > ``bound`` (1 + ||U||_F^2), without overflow."""
+    with np.errstate(invalid="ignore"):  # a non-finite U fails as NaN
+        scale = np.abs(us).max(axis=(1, 2), keepdims=True)
+        vs, tiny = us / scale, scale ** -2.0  # tiny is zero on underflow
+        norm2 = (np.abs(vs) ** 2).sum(axis=(1, 2))
+        gap = vs @ j_inverse(vs) - tiny * np.eye(us.shape[-1])
+        residual = np.linalg.norm(gap, axis=(1, 2)) / (tiny[:, 0, 0] + norm2)
+    for k in np.flatnonzero(~(residual <= bound))[:1]:
+        size = scale[k, 0, 0] * norm2[k] ** 0.5
+        state = (f"has ||U|| = {size:.3e} and relative residual "
+                 f"{residual[k]:.3e} > {bound:g}" if np.isfinite(size)
+                 else "overflows")
+        raise ValueError(f"fundamental solution lost J-unitarity to rounding: "
+                         f"U(y) at y = {points[k]:.6g} {state}; the interval "
+                         "is too long for double precision")
 
 
 class _StateSystem:
@@ -109,7 +133,9 @@ class _StateSystem:
             U(R) = e^{-RA} e^{(R-L)(A+Y_j)} e^{LA} U(L),   U(0) = I.
 
         Endpoints and caches of the returned segments, and the corners, are
-        stacked along a leading axis over ``lengths``.
+        stacked along a leading axis over ``lengths``.  Every inverse of U
+        is its J-adjoint, so a U(L) that rounding has left not J-unitary,
+        or an overflowed corner, raises ValueError naming L and ||U(L)||.
         """
         r = self.realization
         xs = np.asarray(lengths, dtype=float)
@@ -134,42 +160,22 @@ class _StateSystem:
             gens += [cross, gen]
             times += [right - left, -right]
         exps = iter(np.split(exp_samples(np.stack(gens), times), len(gens)))
-        # U(0) = I: the first segment's caches are the identity.
-        right_cache = left_cache = np.broadcast_to(
+        # U(0) = I: the first segment's cache is the identity.
+        right_cache = np.broadcast_to(
             np.eye(self.state_dim, dtype=complex), (xs.size,) + gen.shape)
         segments: List[_Segment] = []
-        for m, (left, right, level, gen_cross, proj) in enumerate(
-                zip(lefts, rights, levels, crosses, projs)):
-            if m:  # u_left and exp_neg are U(L) and e^{-LA}, chained
-                right_cache = next(exps) @ u_left
-                left_cache = self._invert(u_left) @ exp_neg
-            span = next(exps)
-            segments.append(_Segment(left, right, level, gen_cross,
-                                     right_cache, left_cache, span, proj))
-            exp_neg = next(exps)
-            u_left = exp_neg @ span @ right_cache
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for m, (left, right, level, gen_cross, proj) in enumerate(
+                    zip(lefts, rights, levels, crosses, projs)):
+                if m:  # u_left is U(L), chained
+                    _require_j_unitary(u_left, left)
+                    right_cache = next(exps) @ u_left
+                span = next(exps)
+                segments.append(_Segment(left, right, level, gen_cross,
+                                         right_cache, span, proj))
+                u_left = next(exps) @ span @ right_cache
+        _require_j_unitary(u_left, rights[-1], bound=np.inf)  # finite U(a)
         return segments, u_left
-
-    def _invert(self, u: np.ndarray) -> np.ndarray:
-        """U^{-1} through the symplectic-type relation, solve as fallback.
-
-        ``u`` is one matrix or a stack of them; the matrices whose residual
-        is too large go to one stacked :func:`solve`.
-
-        The residual is scaled by 1 + ||U||^2 (matching the unitarity
-        invariant): for large-norm U the structured inverse is exact algebra
-        while a direct solve would be limited by the condition number.
-        """
-        jt = self.j_matrix
-        eye = np.eye(self.state_dim, dtype=complex)
-        us = u.reshape(-1, *eye.shape)  # one matrix or a stack of them
-        ui = jt.conj().T @ us.conj().transpose(0, 2, 1) @ jt
-        residual = np.linalg.norm(us @ ui - eye, axis=(1, 2))
-        bound = 1e-6 * (1.0 + np.linalg.norm(us, axis=(1, 2)) ** 2)
-        bad = residual > bound
-        if bad.any():
-            ui[bad] = solve(us[bad], np.broadcast_to(eye, ui[bad].shape))
-        return ui.reshape(u.shape)
 
 
 class FundamentalSolution(_StateSystem):
@@ -181,8 +187,8 @@ class FundamentalSolution(_StateSystem):
         U(y) = e^{-yA} e^{(y-L)(A+Y_j)} e^{LA} U(L),
 
     chained from U(0) = I.  A breakpoint belongs to the segment where it is
-    the left endpoint; the last segment also owns its right endpoint.  All
-    caches are built up front, so concurrent evaluation is safe.
+    the left endpoint; the last segment also owns its right endpoint.  U is
+    J-unitary, so no cache, all built up front, holds an inverse.
     """
 
     def __init__(self, realization: Realization):
@@ -195,15 +201,14 @@ class FundamentalSolution(_StateSystem):
         self.lefts = np.array([seg.left for seg in self.segments])
         self.crosses = np.array([seg.gen_cross for seg in self.segments])
         for seg in self.segments:
-            for arr in (seg.gen_cross, seg.right_cache, seg.left_cache,
-                        seg.exp_span):
+            for arr in (seg.gen_cross, seg.right_cache, seg.exp_span):
                 arr.flags.writeable = False
 
     # -- segment lookup ------------------------------------------------------
 
-    def _segments_at(self, ys, sign: float = 1.0):
-        """(segment, mask, e^{sign (y-L)(A+Y_j)}) for each segment holding
-        some of ``ys``.
+    def _segments_at(self, ys):
+        """(segment, mask, e^{(y-L)(A+Y_j)}) for each segment holding some
+        of ``ys``.
 
         ``ys`` are dilated coordinates in [0, a], up to the relative slack
         _FUZZ, and are clamped into it.  A breakpoint belongs to the segment
@@ -221,7 +226,7 @@ class FundamentalSolution(_StateSystem):
         held = np.unique(idx)
         masks = [idx == k for k in held]
         offsets = [ys[at] - self.lefts[k] for k, at in zip(held, masks)]
-        exps = exp_samples(self.crosses[held], [sign * off for off in offsets])
+        exps = exp_samples(self.crosses[held], offsets)
         stop = 0
         for k, at, off in zip(held, masks, offsets):
             start, stop = stop, stop + off.size
@@ -266,22 +271,9 @@ class FundamentalSolution(_StateSystem):
                        @ seg.right_cache)[:, 0, :]
         return out
 
-    def _cols(self, comp: np.ndarray, pts) -> np.ndarray:
-        """Columns left_cache e^{-(z-L)(A+Y_j)} stack[:, c] at z = d_c t."""
-        out = np.empty((self.state_dim, comp.size), dtype=complex)
-        for seg, at, exps in self._segments_at(self._dilated(comp, pts),
-                                               -1.0):
-            out[:, at] = seg.left_cache \
-                @ (exps @ self.stack.T[comp[at], :, None])[:, :, 0].T
-        return out
-
     def left_row(self, i: int, x: float) -> np.ndarray:
         """Row factor e_i [theta2^H, theta1^H] e^{yA} U(y) at y = d_i x."""
         return self._rows(np.array([i]), [x])[0]
-
-    def right_col(self, j: int, t: float) -> np.ndarray:
-        """Column factor U(z)^{-1} e^{-zA} [-theta1; theta2] e_j at z = d_j t."""
-        return self._cols(np.array([j]), [t])[:, 0]
 
     def left_rows(self, xs) -> np.ndarray:
         """``left_row(i, x)`` for every component i and x in ``xs``.
@@ -293,11 +285,19 @@ class FundamentalSolution(_StateSystem):
         p = self.realization.p
         return self._rows(np.repeat(np.arange(p), xs.size), np.tile(xs, p))
 
+    def right_col(self, j: int, t: float) -> np.ndarray:
+        """Column factor U(z)^{-1} e^{-zA} [-theta1; theta2] e_j at z = d_j t."""
+        return self.columns(self._rows(np.array([j]), [t]))[:, 0]
+
     def right_cols(self, ts) -> np.ndarray:
         """``right_col(j, t)`` as column j*len(ts) + b, as in :meth:`left_rows`."""
-        ts = np.asarray(ts, dtype=float)
-        p = self.realization.p
-        return self._cols(np.repeat(np.arange(p), ts.size), np.tile(ts, p))
+        return self.columns(self.left_rows(ts))
+
+    def columns(self, rows: np.ndarray) -> np.ndarray:
+        """The column factors at the points of the row factors ``rows``:
+        -J^H rows^H, as (e^{zA} U(z))^{-1} = J^H (e^{zA} U(z))^H J and
+        J [-theta1; theta2] = -[theta2^H, theta1^H]^H, for any data."""
+        return -self.j_matrix.conj().T @ rows.conj().T
 
 
 def branch_projector(

@@ -323,19 +323,21 @@ def _correction_rebuilding_inverses(kernel):
     """recovery_correction with U(d_s x)^{-1} rebuilt for every row.
 
     The formula as first written: U(y)^{-1} is evaluated afresh,
-    including at y = d_1 x, where U is the cached corner U(a).
+    including at y = d_1 x, where U is the cached corner U(a), and here
+    by an LU solve, not by the J-relation.
     """
     r = kernel.realization
     fund, proj = kernel.fund, kernel.p_cross
     x, n, d = r.length, r.n, r.diag.d
     embed = np.vstack([np.eye(n), np.zeros((n, n))])
-    corner_inv = fund._invert(fund.value(d[0] * x))
+    eye = np.eye(2 * n)
+    corner_inv = np.linalg.solve(fund.value(d[0] * x), eye)
     right_factor = np.linalg.solve(r.beta.conj().T, r.theta1)
     out = np.empty((r.p, r.p), dtype=complex)
     for s in range(r.p):
         y = d[s] * x
-        middle = proj @ corner_inv - fund._invert(fund.value(y)) \
-            + np.eye(2 * n) - proj
+        middle = proj @ corner_inv - np.linalg.solve(fund.value(y), eye) \
+            + eye - proj
         direct = r.theta2.conj().T[s, :] @ linalg.mat_exp(
             1j * y * r.beta.conj().T)
         bracket = fund.adj_row[s, :] @ fund.propagated(y) @ middle @ embed

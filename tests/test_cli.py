@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,21 +509,24 @@ class TestExponentialsThroughLinalg:
                     monkeypatch.setattr(module, key, refuse)
         return calls
 
-    @pytest.mark.parametrize("argv, code, bound", [
-        (["invert", "--grid", "16"], 0, 100),
-        (["invert", "--grid", "128", "singular"], 2, 8),
-        (["invert", "--grid", "128", "two-level"], 2, 16),
-        (["recover", "--samples", "20"], 0, 200),
-        (["verify", "--level", "full"], 0, 400),
-        (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"], 0, 0),
+    @pytest.mark.parametrize("argv, code, bound, calls", [
+        (["invert", "--grid", "16"], 0, 100, 3),
+        (["invert", "--grid", "128", "singular"], 2, 8, 2),
+        (["invert", "--grid", "128", "two-level"], 2, 16, 2),
+        (["recover", "--samples", "20"], 0, 200, 4),
+        (["verify", "--level", "full"], 0, 400, 10),
+        (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"], 0, 0, 0),
     ], ids=["invert", "invert-singular", "invert-two-level", "recover",
             "verify-full", "weyl"])
-    def test_commands_use_exp_samples(self, argv, code, bound, refused,
-                                      expm_slices, tmp_path, capsys):
-        # Bounds on the Pade slices (68, 5, 11, 162, 300 and 0 measured);
+    def test_commands_use_exp_samples(self, argv, code, bound, calls, refused,
+                                      expm_slices, expm_calls, tmp_path,
+                                      capsys):
+        # Bounds on the Pade slices (68, 5, 11, 132, 223 and 0 measured);
         # one Pade expm per node and component made 2,400 for verify's S_N
         # alone, and one null-function evaluation per grid point 130 and
-        # 261 for the singular tables.
+        # 261 for the singular tables.  The Pade calls are exact: every
+        # inverse of U is its J-adjoint, so no exponential runs backwards
+        # along A + Y_j (recover made 5 calls and verify 12 before).
         special = {"singular": singular_scalar_realization,
                    "two-level": two_level_singular_realization}
         r = special.get(argv[-1], bench_shape_realization)()
@@ -535,6 +539,7 @@ class TestExponentialsThroughLinalg:
         assert cli.main(argv) == code
         assert refused == []
         assert expm_slices[0] <= bound
+        assert expm_calls[0] == calls
         capsys.readouterr()
 
 
@@ -771,6 +776,38 @@ class TestVerify:
         # argparse rejects the choice; the tool maps usage errors to 1.
         assert cli.main(["verify", "--config", scalar_cfg, "--level", "bogus",
                          "--report", str(tmp_path / "r.json")]) == 1
+
+
+class TestLongInterval:
+    # Seed 9 of the benchmark shape at l = 40 and 100: U grows past 1e117,
+    # and rounding ruins its J-unitarity (at l = 100 it overflows).  Before,
+    # the commands exited 1 with a SingularMatrixError or "SVD did not
+    # converge" from a fallback solve of U, after RuntimeWarnings.
+    LOST = "fundamental solution lost J-unitarity to rounding"
+
+    @pytest.mark.parametrize("length", [40.0, 100.0])
+    def test_commands_refuse_lost_j_unitarity(self, length, tmp_path,
+                                              capsys):
+        r = random_realization(9, 3, 4, (2.0, 1.5, 1.0), length, 0.6)
+        cfg = write_config(tmp_path, config_dict(r), "long.json")
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["invert", "--grid", "16", "--out",
+                          str(tmp_path / "kernel.csv")],
+                         ["recover", "--samples", "20", "--out",
+                          str(tmp_path / "gamma.csv")]):
+                assert cli.main(argv + ["--config", cfg]) == 1
+                assert f"error: {self.LOST}" in capsys.readouterr().err
+            assert cli.main(["verify", "--config", cfg, "--level", "quick",
+                             "--report", str(report)]) == 1
+        checks = json.loads(report.read_text())
+        for name in ("j_unitarity", "composition", "gamma_metric",
+                     "similarity"):
+            assert checks[name]["value"] == 1e99 and not checks[name]["pass"]
+            assert checks[name]["error"].startswith(f"ValueError: {self.LOST}")
+        for name, entry in checks.items():
+            assert math.isfinite(entry["value"]), name
 
 
 class TestWeyl:

@@ -511,6 +511,16 @@ class TestPositivity:
         if case == "no_factor":
             assert 30 <= len(shifts) <= 40
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_factor_refuses_non_finite_shift(self, sigma, seed10):
+        # LAPACK's Cholesky does not flag a NaN pivot: a NaN or -inf shift
+        # returned a factor full of NaN, which reads as a certificate that
+        # no eigenvalue lies below the shift, and +inf returned None.
+        op = discretize_operator(seed10, 32)
+        with pytest.raises(ValueError, match="not finite"):
+            op.factor(sigma)
+
     @pytest.mark.parametrize("name", ["scalar", "seed10", "zero_data",
                                       "bench_shape", "repeated"])
     def test_nystrom_matrix_is_exactly_hermitian(self, name, request):

@@ -1,11 +1,14 @@
 """Closed-form inversion: fundamental solution, projector, kernel entries."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from dkinv import inversion, linalg
+from dkinv import inversion, kernels, linalg
 from dkinv.inversion import (
     FundamentalSolution,
     InverseKernel,
@@ -66,11 +69,15 @@ class TestFundamentalSolution:
             assert gap <= 1e-9 * (1 + np.linalg.norm(u) ** 2)
 
     def test_inverse_multiplies_to_identity(self):
+        # U^{-1} = J^H U^H J against an LU solve of U.
         r = random_realization(43, 2, 4, [1.5, 1.0])
         f = FundamentalSolution(r)
+        eye = np.eye(f.state_dim)
         for y in (0.0, 0.6, 1.2):
-            prod = f._invert(f.value(y)) @ f.value(y)
-            assert np.abs(prod - np.eye(f.state_dim)).max() <= 1e-9
+            u = f.value(y)
+            got = inversion.j_inverse(u)
+            assert np.abs(got @ u - eye).max() <= 1e-9
+            assert np.abs(got - np.linalg.solve(u, eye)).max() <= 1e-9
 
     def test_interval_is_largest_dilation_times_length(self):
         r = random_realization(44, 2, 2, [2.5, 1.0], length=0.8)
@@ -104,20 +111,17 @@ class TestFundamentalSolution:
 
 
 def _four_exponential_segments(f):
-    """Segment caches and corner rebuilt with four exponentials per segment.
+    """Segment caches and corner rebuilt with an exponential per factor.
 
-    This is the original construction: e^{-L A} and e^{L A} are computed
-    afresh for every segment, including L = 0, instead of reusing the
-    chain's e^{-next A}.
+    This is the original construction: e^{L A} is computed afresh for
+    every segment, including L = 0, instead of coming from one call.
     """
     gen = f.generator
     u_left = np.eye(f.state_dim, dtype=complex)
     out = []
     for seg in f.segments:
-        exp_pos = linalg.mat_exp(seg.left * gen)
-        exp_neg = linalg.mat_exp(-seg.left * gen)
-        right_cache = exp_pos @ u_left
-        out.append((right_cache, f._invert(u_left) @ exp_neg))
+        right_cache = linalg.mat_exp(seg.left * gen) @ u_left
+        out.append(right_cache)
         u_left = linalg.mat_exp(-seg.right * gen) \
             @ linalg.mat_exp((seg.right - seg.left) * seg.gen_cross) \
             @ right_cache
@@ -138,9 +142,8 @@ class TestSegmentCaches:
         assert expm_slices[0] == 3 * k - 1
         assert expm_calls[0] == 1
         want, corner = _four_exponential_segments(f)
-        for seg, (right_cache, left_cache) in zip(f.segments, want):
+        for seg, right_cache in zip(f.segments, want):
             assert np.array_equal(seg.right_cache, right_cache)
-            assert np.array_equal(seg.left_cache, left_cache)
         assert np.array_equal(f.corner(), corner)
 
 
@@ -156,7 +159,7 @@ class TestSegmentCaches:
             r = random_realization(4, 3, 2, (2.0, 1.0, 1.0))
         else:
             r = request.getfixturevalue(shape)
-        names = ("right_cache", "left_cache", "exp_span")
+        names = ("right_cache", "exp_span")
         for count, tol in ((7, 0.0), (40, 1e-13)):
             xs = np.linspace(r.length / count, r.length, count)
             segments, corners = FundamentalSolution(r).chain(xs)
@@ -172,18 +175,39 @@ class TestSegmentCaches:
                                      - getattr(want, name)).max()
                         assert gap <= tol * scale
 
-    def test_invert_falls_back_per_matrix(self, seed10):
-        # In a stack, only the matrix that fails the J-relation is solved.
+    def test_guard_refuses_one_ruined_matrix(self, seed10):
+        # A stack of values of U passes; one matrix off the J-relation
+        # makes the whole stack refused, naming its point and its norm.
         f = FundamentalSolution(seed10)
-        us = np.array([f.value(0.3), f.value(0.9), f.value(1.4)])
+        points = np.array([0.3, 0.9, 1.4])
+        us = f.value(points)
+        inversion._require_j_unitary(us, points)
         us[1, 0, 0] += 0.5
-        got = f._invert(us)
-        for k in (0, 2):
-            assert np.array_equal(got[k], f._invert(us[k]))
-            assert np.array_equal(
-                got[k], f.j_matrix.conj().T @ us[k].conj().T @ f.j_matrix)
-        want = linalg.solve(us[1], np.eye(f.state_dim, dtype=complex))
-        assert np.array_equal(got[1], want)
+        norm = np.linalg.norm(us[1])
+        with pytest.raises(ValueError, match="lost J-unitarity") as err:
+            inversion._require_j_unitary(us, points)
+        assert "y = 0.9 " in str(err.value)
+        assert f"||U|| = {norm:.3e}" in str(err.value)
+
+    def test_guard_judges_huge_and_overflowed_matrices(self):
+        # diag(s I, I / s) is J-unitary for real s.  At s = 1e200 its
+        # squared norm overflows, yet the guard passes it, and it refuses
+        # an overflowed U by name, with no RuntimeWarning either way.
+        n = 2
+        big = np.diag([1e200] * n + [1e-200] * n).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inversion._require_j_unitary(big[None], np.array([5.0]))
+            bad = big.copy()
+            bad[n, n + 1] = 1e197  # off the relation by 1e-3 relative
+            with pytest.raises(ValueError, match="relative residual"):
+                inversion._require_j_unitary(bad[None], np.array([5.0]))
+            for value in (np.inf, np.nan):
+                bad = big.copy()
+                bad[0, 0] = value
+                with pytest.raises(ValueError, match="y = 7 overflows"):
+                    inversion._require_j_unitary(np.stack([big, bad]),
+                                                 np.array([5.0, 7.0]))
 
 
 class TestBatchedFactors:
@@ -191,7 +215,8 @@ class TestBatchedFactors:
                                        "repeated"])
     def test_match_docstring_formulas(self, shape, request):
         # left_row: e_i [theta2^H, theta1^H] e^{yA} U(y) at y = d_i x;
-        # right_col: U(z)^{-1} e^{-zA} [-theta1; theta2] e_j at z = d_j t.
+        # right_col: U(z)^{-1} e^{-zA} [-theta1; theta2] e_j at z = d_j t,
+        # with U(z)^{-1} from an LU solve, not from the J-relation.
         if shape == "bench_shape":
             r = bench_shape_realization()
         elif shape == "repeated":
@@ -207,15 +232,19 @@ class TestBatchedFactors:
             for a, x in enumerate(xs):
                 y = r.diag.d[i] * x
                 prop = f.propagated(y)
-                back = f._invert(f.value(y)) @ linalg.mat_exp(-y * f.generator)
+                u = f.value(y)
+                back = np.linalg.solve(u, np.eye(f.state_dim)) \
+                    @ linalg.mat_exp(-y * f.generator)
                 row_scale = np.linalg.norm(f.adj_row[i]) * np.linalg.norm(prop)
                 col_scale = np.linalg.norm(back) * np.linalg.norm(f.stack[:, i])
+                # The LU solve itself is accurate to about eps cond(U).
+                col_tol = 1e-13 + 10 * np.finfo(float).eps * np.linalg.cond(u)
                 for got in (rows[i * xs.size + a], f.left_row(i, x)):
                     assert np.linalg.norm(got - f.adj_row[i] @ prop) \
                         <= 1e-13 * row_scale
                 for got in (cols[:, i * xs.size + a], f.right_col(i, x)):
                     assert np.linalg.norm(got - back @ f.stack[:, i]) \
-                        <= 1e-13 * col_scale
+                        <= col_tol * col_scale
 
     def test_points_outside_the_interval_are_refused(self, seed10):
         f = FundamentalSolution(seed10)
@@ -231,6 +260,57 @@ class TestBatchedFactors:
                     getattr(f, name)([0.5, bad * f.interval])
         assert f.left_rows([]).shape == (0, f.state_dim)
         assert f.right_cols([]).shape == (f.state_dim, 0)
+
+
+@st.composite
+def _unstructured_realizations(draw):
+    """theta1, theta2 and beta drawn independently, so the structure
+    identity fails; p <= 3, n <= 4, d with repeats."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    d = sorted(draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+                             min_size=p, max_size=p)), reverse=True)
+    scale = draw(st.floats(0.05, 1.0))
+    length = draw(st.floats(0.1, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def normal(rows, cols):
+        return rng.standard_normal((rows, cols)) \
+            + 1j * rng.standard_normal((rows, cols))
+
+    return kernels.Realization.build(scale * normal(n, p),
+                                     scale * normal(n, p),
+                                     normal(n, n), d, length)
+
+
+class TestJRelation:
+    @settings(max_examples=40, deadline=None)
+    @given(_unstructured_realizations())
+    def test_holds_without_the_structure_identity(self, r):
+        # Every A + Y_j is J-skew-Hermitian for any data, so U is
+        # J-unitary and the column factors, taken from the rows, match
+        # U(z)^{-1} e^{-zA} [-theta1; theta2] with U(z)^{-1} from an LU
+        # solve.
+        f = FundamentalSolution(r)
+        j = f.j_matrix
+        for seg in f.segments:
+            g = seg.gen_cross
+            assert np.linalg.norm(g.conj().T @ j + j @ g) \
+                <= 1e-14 * (1.0 + np.linalg.norm(g))
+        xs = np.linspace(0.0, r.length, 7)
+        cols = f.right_cols(xs)
+        for i in range(r.p):
+            for a, x in enumerate(xs):
+                y = r.diag.d[i] * x
+                u, back = f.value(y), linalg.mat_exp(-y * f.generator)
+                # Both routes round on the scale of the factors of
+                # U^{-1} e^{-zA} stack, and an LU solve to eps cond(U).
+                scale = np.linalg.norm(np.linalg.inv(u)) \
+                    * np.linalg.norm(back) * np.linalg.norm(f.stack[:, i])
+                tol = 1e-13 + 10 * np.finfo(float).eps * np.linalg.cond(u)
+                want = np.linalg.solve(u, back @ f.stack[:, i])
+                assert np.linalg.norm(cols[:, i * xs.size + a] - want) \
+                    <= tol * scale
 
 
 class TestBatchedValues:
@@ -251,7 +331,7 @@ class TestBatchedValues:
         ys = np.concatenate([f.lefts, np.linspace(0.0, f.interval, 20)])
         size = f.state_dim
         for method in (f.value, f.propagated,
-                       lambda ys: f._invert(f.value(ys))):
+                       lambda ys: inversion.j_inverse(f.value(ys))):
             batch = method(ys)
             assert batch.shape == (ys.size, size, size)
             for y, got in zip(ys, batch):
