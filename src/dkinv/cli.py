@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,43 +183,6 @@ def parse_config(path: str) -> ProblemConfig:
 # Commands
 # ---------------------------------------------------------------------------
 
-_BATCH_CELLS = 1 << 14  # floats formatted per batch of CSV lines
-
-
-def _write_csv(path: str, header: Sequence[str], heads: Sequence[str],
-               chunks: Iterable[Tuple[str, np.ndarray]]) -> None:
-    """Write CSV lines a batch of chunks at a time, so only one batch is
-    ever text.
-
-    A chunk ``(lead, cells)`` is ``len(heads)`` lines: line k is the text
-    ``lead + heads[k]`` followed by row k of the 2-d float array ``cells``
-    in %.17g.  The caller formats the text columns once; consecutive
-    chunks of one shape are formatted together, about _BATCH_CELLS cells
-    at a time, and equal runs produce byte-identical files.
-    """
-    # Only the CSV commands format floats in bulk.
-    from . import csvtext
-
-    leads: List[str] = []
-    batch: List[np.ndarray] = []
-
-    def flush() -> None:
-        if batch:
-            fh.write(csvtext.format_lines(leads, heads, np.concatenate(batch)))
-            leads.clear()
-            batch.clear()
-
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for lead, cells in chunks:
-            if batch and (cells.shape != batch[0].shape
-                          or len(batch) * cells.size >= _BATCH_CELLS):
-                flush()
-            leads.append(lead)
-            batch.append(cells)
-        flush()
-
-
 def _require_writable(path: str) -> None:
     """Fail on an unwritable output ``path`` before the work that fills it,
     and leave the path as it was: an existing file is opened for appending."""
@@ -236,6 +199,8 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
     (columns fn, i, x, re, im) and the exit status is 2.  In both tables a
     contiguous complex column viewed as floats gives the re, im columns.
     """
+    from . import csvtext  # only the CSV commands format floats in bulk
+
     r = cfg.realization()
     kernel = inversion.InverseKernel.from_realization(r)
     xs = (np.arange(grid) + 0.5) * (r.length / grid)
@@ -246,10 +211,11 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
         report = kernel.singular_report
         values = inversion.null_basis_values(kernel.fund, report, xs)
         count = len(values)
-        cells = values.reshape(count, -1, 1).view(float)
-        heads = [f"{i},{x}" for x in cols for i in range(1, p + 1)]
-        _write_csv(out_path, ("fn", "i", "x", "re", "im"), heads,
-                   ((f"{fn},", c) for fn, c in enumerate(cells, start=1)))
+        csvtext.write_table(
+            out_path, ("fn", "i", "x", "re", "im"),
+            [f"{fn}," for fn in range(1, count + 1)],
+            [f"{i},{x}" for x in cols for i in range(1, p + 1)],
+            values.reshape(-1, 1).view(float))
         print(
             f"operator is singular (corner rcond {report.rcond:.3e}); "
             f"wrote {count} kernel-basis function(s) to {out_path}",
@@ -257,12 +223,13 @@ def cmd_invert(cfg: ProblemConfig, grid: int, out_path: str) -> int:
         )
         return 2
 
-    # cells[i, a, j] is block (i, j) at x = xs[a]: one grid row, t-major.
-    cells = kernel.block_values(xs, xs).reshape(p, grid, p, grid, 1).view(
-        float)
-    _write_csv(out_path, ("i", "j", "x", "t", "re", "im"), cols,
-               ((f"{i + 1},{j + 1},{cols[a]},", cells[i, a, j])
-                for i in range(p) for j in range(p) for a in range(grid)))
+    # Block (i, j) at (xs[a], xs[b]) is line ((i p + j) grid + a) grid + b.
+    values = kernel.block_values(xs, xs).reshape(p, grid, p, grid)
+    csvtext.write_table(
+        out_path, ("i", "j", "x", "t", "re", "im"),
+        [f"{i},{j},{x}," for i in range(1, p + 1) for j in range(1, p + 1)
+         for x in cols], cols,
+        values.transpose(0, 2, 1, 3).reshape(-1, 1).view(float))
     return 0
 
 
@@ -272,6 +239,8 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
     Requires the structure identity; a violation exits 1 citing the
     residual.  Matrix entries are written column-major as re/im pairs.
     """
+    from . import csvtext  # only the CSV commands format floats in bulk
+
     r = cfg.realization()
     try:
         r.require_identity()
@@ -299,8 +268,8 @@ def cmd_recover(cfg: ProblemConfig, samples: int, out_path: str) -> int:
     cells = np.column_stack([
         m.transpose(0, 2, 1).reshape(samples, -1).view(float)
         for m in (grid_data.gammas, grid_data.hams)])
-    heads = ["%.17g" % x for x in grid_data.xs.tolist()]
-    _write_csv(out_path, header, heads, [("", cells)])
+    leads = ["%.17g" % x for x in grid_data.xs.tolist()]
+    csvtext.write_table(out_path, header, leads, [""], cells)
     return 0
 
 

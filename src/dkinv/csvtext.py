@@ -50,13 +50,14 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["format_cells", "format_lines"]
+__all__ = ["format_cells", "format_lines", "write_table"]
 
 _SPLIT = 134217729.0          # 2^27 + 1, Veltkamp's splitter
 _LOW, _HIGH = 1e-280, 1e280   # the magnitudes the vector path decides
 _TIE_MARGIN = 1e-9
 _DECADE = 10 ** 16
 _TOP = 300                    # the tables' |k|; the vector path's is <= 281
+_BATCH_CELLS = 1 << 14        # floats per format_lines call of write_table
 
 
 def _words(rows: np.ndarray, dtype) -> np.ndarray:
@@ -264,3 +265,21 @@ def format_lines(leads: Sequence[str], heads: Sequence[str],
     buf[:, :, lw + hw:-1] = text.reshape(count, size, cw)
     buf[:, :, -1] = ord("\n")
     return data.translate(None, b"\0")
+
+
+def write_table(path: str, header: Sequence[str], leads: Sequence[str],
+                heads: Sequence[str], cells: np.ndarray) -> None:
+    """Write the CSV file ``path``: the ``header`` line, then one line per
+    row of the 2-d float array ``cells``, line k = a * len(heads) + b being
+    ``leads[a] + heads[b]`` and row k in %.17g (:func:`format_lines`).
+
+    Whole leads of about _BATCH_CELLS cells are formatted at a time, so
+    only one batch is ever text; the bytes do not depend on the batch.
+    """
+    size = len(heads)
+    step = -(-_BATCH_CELLS // (size * cells.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(leads), step):
+            fh.write(format_lines(leads[start:start + step], heads,
+                                  cells[start * size:(start + step) * size]))

@@ -445,8 +445,17 @@ def lanczos_minimum(matvec: Callable[[np.ndarray], np.ndarray],
 
 
 def positivity_spectrum(op: SemiseparableOperator) -> float:
-    """Certified lambda_min(S_N): :attr:`SemiseparableOperator.min_eig`."""
-    return op.min_eig
+    """Certified lambda_min(S_N): :attr:`SemiseparableOperator.min_eig`,
+    whose sign is its answer.  A lambda_min within the certificate's
+    resolution delta = 1e-10 max(1, |lambda_min|) of zero has no sign:
+    S_N is singular to rounding, and ``LinAlgError`` says so."""
+    low = op.min_eig
+    delta = 1e-10 * max(1.0, abs(low))
+    if abs(low) <= delta:
+        raise np.linalg.LinAlgError(
+            f"S_N is singular to rounding: lambda_min = {low:.6e} is within "
+            f"delta = {delta:.1e} of zero, so its sign is not determined")
+    return low
 
 
 def profile_samples(r: Realization, xs: np.ndarray) -> np.ndarray:

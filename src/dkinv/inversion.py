@@ -198,23 +198,27 @@ class FundamentalSolution(_StateSystem):
         segments, corners = self.chain([length])
         self.segments = [seg.at(0) for seg in segments]
         self._corner = corners[0]  # U(a)
+        # Per segment L, A + Y_j and e^{LA} U(L), stacked for gathering.
         self.lefts = np.array([seg.left for seg in self.segments])
         self.crosses = np.array([seg.gen_cross for seg in self.segments])
+        self.right_caches = np.array([seg.right_cache
+                                      for seg in self.segments])
         for seg in self.segments:
             for arr in (seg.gen_cross, seg.right_cache, seg.exp_span):
                 arr.flags.writeable = False
+        self.crosses.flags.writeable = self.right_caches.flags.writeable = False
 
     # -- segment lookup ------------------------------------------------------
 
-    def _segments_at(self, ys):
-        """(segment, mask, e^{(y-L)(A+Y_j)}) for each segment holding some
-        of ``ys``.
+    def _segment_lookup(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Per point of the 1-d ``ys``, in point order: the index of the
+        segment holding it and e^{(y-L)(A+Y_j)}.
 
         ``ys`` are dilated coordinates in [0, a], up to the relative slack
         _FUZZ, and are clamped into it.  A breakpoint belongs to the segment
         it opens; the last segment also owns a.  Every evaluator below finds
         its segments here, and the exponentials of all of them come from
-        one :func:`exp_samples` call.
+        one :func:`exp_samples` call, each segment's offsets in point order.
         """
         ys = np.asarray(ys, dtype=float)
         a = self.interval
@@ -224,13 +228,12 @@ class FundamentalSolution(_StateSystem):
         ys = ys.clip(0.0, a)
         idx = np.maximum(np.searchsorted(self.lefts, ys, side="right") - 1, 0)
         held = np.unique(idx)
-        masks = [idx == k for k in held]
-        offsets = [ys[at] - self.lefts[k] for k, at in zip(held, masks)]
-        exps = exp_samples(self.crosses[held], offsets)
-        stop = 0
-        for k, at, off in zip(held, masks, offsets):
-            start, stop = stop, stop + off.size
-            yield self.segments[k], at, exps[start:stop]
+        offsets = ys - self.lefts[idx]
+        stacked = exp_samples(self.crosses[held],
+                              [offsets[idx == k] for k in held])
+        exps = np.empty_like(stacked)
+        exps[np.argsort(idx, kind="stable")] = stacked
+        return idx, exps
 
     def _dilated(self, comp: np.ndarray, pts) -> np.ndarray:
         """y = d_c x for the pairs (c, x) of ``comp`` and ``pts``, x in [0, l]."""
@@ -247,11 +250,9 @@ class FundamentalSolution(_StateSystem):
         """e^{yA} U(y) at the dilated points ``ys``, from one exponential
         call: one matrix for a scalar y, else a stack of shape
         ``np.shape(ys) + (2n, 2n)``."""
-        flat = np.reshape(ys, -1)
-        out = np.empty((flat.size,) + self.generator.shape, dtype=complex)
-        for seg, at, exps in self._segments_at(flat):
-            out[at] = exps @ seg.right_cache
-        return out.reshape(np.shape(ys) + self.generator.shape)
+        idx, exps = self._segment_lookup(np.reshape(ys, -1))
+        return (exps @ self.right_caches[idx]).reshape(
+            np.shape(ys) + self.generator.shape)
 
     def value(self, ys) -> np.ndarray:
         """U(y), e^{-yA} times :meth:`propagated`, shaped as it."""
@@ -265,11 +266,9 @@ class FundamentalSolution(_StateSystem):
 
     def _rows(self, comp: np.ndarray, pts) -> np.ndarray:
         """Rows adj_row[c] e^{(y-L)(A+Y_j)} right_cache at y = d_c x."""
-        out = np.empty((comp.size, self.state_dim), dtype=complex)
-        for seg, at, exps in self._segments_at(self._dilated(comp, pts)):
-            out[at] = (self.adj_row[comp[at], None, :] @ exps
-                       @ seg.right_cache)[:, 0, :]
-        return out
+        idx, exps = self._segment_lookup(self._dilated(comp, pts))
+        return (self.adj_row[comp, None] @ exps
+                @ self.right_caches[idx])[:, 0]
 
     def left_row(self, i: int, x: float) -> np.ndarray:
         """Row factor e_i [theta2^H, theta1^H] e^{yA} U(y) at y = d_i x."""

@@ -190,8 +190,8 @@ def exp_samples(m, s) -> np.ndarray:
     each s_k, and each sample is e^{cm} times the degree-TAYLOR_DEGREE
     Taylor polynomial of e^{tm} at t = s_k - c, where |t| ||m||_1 <= 1/2.
     Only the anchors go through the Pade exponential; the polynomials of
-    all samples of a generator are one matrix product, and each run of
-    samples on one anchor is multiplied by it in place.  The TAYLOR_DEGREE
+    all samples of a generator are one matrix product, and each sample is
+    multiplied by its anchor in one gathered product.  The TAYLOR_DEGREE
     products that build the polynomial pay off only when they save at
     least as many Pade evaluations, so with fewer samples than anchors plus
     TAYLOR_DEGREE every sample is its own anchor; a zero generator gives
@@ -260,11 +260,9 @@ def exp_samples(m, s) -> np.ndarray:
                             increasing=True),
                   powers[j].reshape(TAYLOR_DEGREE + 1, -1),
                   out=samples.reshape(t.size, -1))
-        slot = (tick - tick.min()).astype(int)
-        cuts = [0, *(np.flatnonzero(np.diff(slot)) + 1).tolist(), t.size]
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b in zip(cuts, cuts[1:]):
-                samples[a:b] = exps[slot[a]] @ samples[a:b]
+            np.matmul(exps[(tick - tick.min()).astype(int)], samples,
+                      out=samples)
     if not np.isfinite(out).all():
         raise ValueError("matrix exponential overflows")
     return out

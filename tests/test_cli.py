@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, commands, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkinv import canonical, cli, discretization, inversion, linalg
+from dkinv import canonical, cli, csvtext, discretization, inversion, linalg
 
 from conftest import (
     bench_shape_realization,
@@ -398,15 +399,44 @@ class TestCsvLayout:
         values = [-0.0, 5e-324, 1e-310, 1e308, 2.0, 0.1, 0.1 + 0.2, 1 / 3,
                   -1e308, -5e-324, 123456789.125, -2.5e-17]
         cells = np.array(values).reshape(-1, 2)
-        heads = ["h1", "h2,x", "3"]
-        chunks = [("a,", cells[:3]), ("", cells[3:])]
+        leads, heads = ["a,", ""], ["h1", "h2,x", "3"]
         path = tmp_path / "cells.csv"
-        cli._write_csv(str(path), ("k", "re", "im"), heads, chunks)
+        csvtext.write_table(str(path), ("k", "re", "im"), leads, heads, cells)
         want = "k,re,im\n" + "".join(
             f"{lead}{head},{_f(a)},{_f(b)}\n"
-            for lead, block in chunks for head, (a, b) in zip(heads, block))
+            for lead, block in zip(leads, cells.reshape(2, 3, 2))
+            for head, (a, b) in zip(heads, block))
         assert path.read_bytes() == want.encode()
         assert "a,h1,-0,4.9406564584124654e-324\n" in want  # signed zero
+
+    @pytest.mark.parametrize("command, length, code", [
+        ("invert", 1.0, 0), ("invert", 4.0, 2), ("recover", 1.0, 0)],
+        ids=["invert", "invert-singular", "recover"])
+    def test_batching_keeps_bytes(self, command, length, code, tmp_path,
+                                  monkeypatch):
+        # The benchmark's seed 9 (at l = 4 its corner is singular, and the
+        # table holds two null functions): one lead per format_lines call
+        # against the default batches, which hold many.
+        r = bench_shape_realization().with_length(length)
+        argv = [command, "--config", write_config(tmp_path, config_dict(r)),
+                "--grid" if command == "invert" else "--samples", "64"]
+        format_lines, calls = csvtext.format_lines, []
+
+        def counting(leads, heads, cells):
+            calls.append(len(leads))
+            return format_lines(leads, heads, cells)
+
+        monkeypatch.setattr(csvtext, "format_lines", counting)
+        digests, batches = [], []
+        for batch in (csvtext._BATCH_CELLS, 1):
+            monkeypatch.setattr(csvtext, "_BATCH_CELLS", batch)
+            out = tmp_path / f"{batch}.csv"
+            calls.clear()
+            assert cli.main(argv + ["--out", str(out)]) == code
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+            batches.append(list(calls))
+        assert set(batches[1]) == {1} and len(batches[0]) < len(batches[1])
+        assert digests[0] == digests[1]
 
 
 class TestUnwritableOutput:
@@ -509,24 +539,25 @@ class TestExponentialsThroughLinalg:
                     monkeypatch.setattr(module, key, refuse)
         return calls
 
-    @pytest.mark.parametrize("argv, code, bound, calls", [
-        (["invert", "--grid", "16"], 0, 100, 3),
-        (["invert", "--grid", "128", "singular"], 2, 8, 2),
-        (["invert", "--grid", "128", "two-level"], 2, 16, 2),
-        (["recover", "--samples", "20"], 0, 200, 4),
-        (["verify", "--level", "full"], 0, 400, 10),
+    @pytest.mark.parametrize("argv, code, slices, calls", [
+        (["invert", "--grid", "16"], 0, 68, 3),
+        (["invert", "--grid", "128", "singular"], 2, 5, 2),
+        (["invert", "--grid", "128", "two-level"], 2, 11, 2),
+        (["recover", "--samples", "20"], 0, 132, 4),
+        (["verify", "--level", "full"], 0, 223, 10),
         (["weyl", "--lambda", "0.3,0.6", "--density", "0.0,0.5"], 0, 0, 0),
     ], ids=["invert", "invert-singular", "invert-two-level", "recover",
             "verify-full", "weyl"])
-    def test_commands_use_exp_samples(self, argv, code, bound, calls, refused,
-                                      expm_slices, expm_calls, tmp_path,
-                                      capsys):
-        # Bounds on the Pade slices (68, 5, 11, 132, 223 and 0 measured);
-        # one Pade expm per node and component made 2,400 for verify's S_N
-        # alone, and one null-function evaluation per grid point 130 and
-        # 261 for the singular tables.  The Pade calls are exact: every
-        # inverse of U is its J-adjoint, so no exponential runs backwards
-        # along A + Y_j (recover made 5 calls and verify 12 before).
+    def test_commands_use_exp_samples(self, argv, code, slices, calls,
+                                      refused, expm_slices, expm_calls,
+                                      tmp_path, capsys):
+        # The Pade slices and calls are exact, so a change in where
+        # exp_samples puts its anchors shows up here.  One Pade expm per
+        # node and component made 2,400 slices for verify's S_N alone, and
+        # one null-function evaluation per grid point 130 and 261 for the
+        # singular tables.  Every inverse of U is its J-adjoint, so no
+        # exponential runs backwards along A + Y_j (recover made 5 calls
+        # and verify 12 before).
         special = {"singular": singular_scalar_realization,
                    "two-level": two_level_singular_realization}
         r = special.get(argv[-1], bench_shape_realization)()
@@ -538,7 +569,7 @@ class TestExponentialsThroughLinalg:
             argv += ["--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == code
         assert refused == []
-        assert expm_slices[0] <= bound
+        assert expm_slices[0] == slices
         assert expm_calls[0] == calls
         capsys.readouterr()
 
@@ -598,6 +629,21 @@ class TestVerify:
         checks = json.load(open(report))
         assert checks["composition"]["value"] <= 5e-2
         assert checks["positivity_min_eig"]["value"] <= 0.0
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    @pytest.mark.parametrize("cfg_name", ["singular_cfg", "two_level_cfg"])
+    def test_positivity_of_singular_operator_is_refused(self, cfg_name,
+                                                        level, request,
+                                                        tmp_path):
+        # S_N is singular: lambda_min is +-1e-16, the sign set by rounding,
+        # so the row is an error naming that, not a pass or fail by sign.
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", request.getfixturevalue(
+            cfg_name), "--level", level, "--report", str(report)]) == 1
+        entry = json.loads(report.read_text())["positivity_min_eig"]
+        assert entry["value"] == 1e99 and not entry["pass"]
+        assert entry["error"].startswith(
+            "LinAlgError: S_N is singular to rounding: lambda_min = ")
 
     def test_identity_violation_fails(self, tmp_path, capsys):
         raw = config_dict(scalar_realization())

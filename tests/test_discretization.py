@@ -398,9 +398,13 @@ class TestPositivity:
     def test_singular_scaling_loses_positivity(self):
         # The c = -1 rescaled scalar problem annihilates exp(-i x), so the
         # discretized operator's smallest eigenvalue collapses to zero.
-        low = positivity_spectrum(
-            discretize_operator(singular_scalar_realization(), 200))
-        assert abs(low) <= 1e-10
+        # Within the certificate's delta of zero it has no sign, and
+        # positivity_spectrum refuses it.
+        op = discretize_operator(singular_scalar_realization(), 200)
+        assert abs(op.min_eig) <= 1e-10
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular to rounding: lambda_min"):
+            positivity_spectrum(op)
 
     @pytest.mark.parametrize("name",
                              ["scalar", "seed10", "zero_data", "bench_shape"])
@@ -490,7 +494,7 @@ class TestPositivity:
             op = discretize_operator(singular_scalar_realization(), 200)
         want = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.conj().T))[0]
         monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
-        assert abs(positivity_spectrum(op) - want) <= 1e-10
+        assert abs(op.min_eig - want) <= 1e-10
 
     @pytest.mark.parametrize("case", ["nan", "inf", "no_factor"])
     def test_breakdown_raises_instead_of_looping(self, case, seed10,

@@ -207,7 +207,7 @@ def test_only_fundamental_solution_walks_segments(name):
     # value instead.
     source = inspect.getsource(importlib.import_module(name))
     source = source.replace(inspect.getsource(FundamentalSolution), "")
-    assert re.findall(r"\b_segments_at\b", source) == []
+    assert re.findall(r"\b_segment_lookup\b", source) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

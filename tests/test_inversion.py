@@ -91,7 +91,10 @@ class TestFundamentalSolution:
         f = FundamentalSolution(r)
 
         def level(y):
-            [(seg, _, _)] = f._segments_at([y])
+            [k], [exp] = f._segment_lookup([y])
+            seg = f.segments[k]
+            assert np.array_equal(
+                exp, linalg.exp_samples(seg.gen_cross, [y - seg.left])[0])
             return seg.level
 
         assert level(0.0) == 3
@@ -260,6 +263,7 @@ class TestBatchedFactors:
                     getattr(f, name)([0.5, bad * f.interval])
         assert f.left_rows([]).shape == (0, f.state_dim)
         assert f.right_cols([]).shape == (f.state_dim, 0)
+        assert f.propagated([]).shape == (0, f.state_dim, f.state_dim)
 
 
 @st.composite
@@ -316,7 +320,7 @@ class TestJRelation:
 class TestBatchedValues:
     @pytest.mark.parametrize("shape", ["scalar", "seed10", "bench_shape",
                                        "repeated"])
-    def test_batch_matches_each_point(self, shape, request):
+    def test_batch_matches_each_point(self, shape, request, expm_slices):
         # value, propagated and U(y)^{-1} on an array of points against
         # the same method point by point, at y = 0, at every breakpoint, at
         # a and in between; 20 points take exp_samples' Taylor path, one
@@ -343,6 +347,26 @@ class TestBatchedValues:
             assert grid.shape == (2, 3, size, size)
             assert np.array_equal(grid.reshape(6, size, size),
                                   method(ys[:6]))
+        # Unsorted and repeated points, every breakpoint and a, in y and
+        # through d_i x: few enough per segment that each exponential is its
+        # own Pade slice, so the gathered lookup must give every point the
+        # bits of its own call.
+        rng = np.random.default_rng(5)
+        ys = rng.permutation(np.concatenate(
+            [f.lefts, f.lefts, [f.interval, f.interval, 0.3 * f.interval]]))
+        xs = (f.lefts[:, None] / r.diag.d).reshape(-1)
+        xs = rng.permutation(np.concatenate(
+            [xs[xs <= r.length], [r.length, r.length, 0.4 * r.length]]))
+        before = expm_slices[0]
+        props, rows, cols = f.propagated(ys), f.left_rows(xs), f.right_cols(xs)
+        assert expm_slices[0] - before == ys.size + 2 * r.p * xs.size
+        for y, got in zip(ys, props):
+            assert np.array_equal(got, f.propagated(y))
+        for i in range(r.p):
+            for a, x in enumerate(xs):
+                assert np.array_equal(rows[i * xs.size + a], f.left_row(i, x))
+                assert np.array_equal(cols[:, i * xs.size + a],
+                                      f.right_col(i, x))
 
     def test_value_at_zero_is_the_identity(self, seed10):
         f = FundamentalSolution(seed10)

@@ -179,8 +179,8 @@ class TestExpSamples:
     @pytest.mark.parametrize("m,times", [
         pytest.param(m, times, id=name) for name, m, times in _exp_samples_cases()])
     def test_anchor_products_match_gathered_stack(self, m, times):
-        # Multiplying each run of samples on one anchor by it in place
-        # gives the same bits as gathering the anchors into a stack first.
+        # The polynomial path gives the bits of its plain restatement: the
+        # anchors gathered into one stack, times the Taylor polynomials.
         assert np.array_equal(linalg.exp_samples(m, times),
                               _gathered_exp_samples(m, times))
 
